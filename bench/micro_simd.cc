@@ -16,9 +16,7 @@
 //     early exit bounds the win);
 //   * intersect_into — EntitySet::IntersectInto into a reused frame
 //     (fused AND-store-popcount; arena materialization);
-//   * subset — EntitySet::SubsetOf (redundant-subtree prune);
-//   * forced_bitmap_build — EntitySet::ForcedBitmap from a sparse vector
-//     set (pinned-twin construction).
+//   * subset — EntitySet::SubsetOf (redundant-subtree prune).
 
 #include <algorithm>
 #include <cstdint>
@@ -71,17 +69,6 @@ EntitySet RandomBitmapSet(std::mt19937_64* rng, size_t universe,
     if (member(*rng)) ids.push_back(static_cast<TermId>(id));
   }
   return EntitySet::FromSorted(std::move(ids), universe).ForcedBitmap(universe);
-}
-
-EntitySet SparseVectorSet(std::mt19937_64* rng, size_t universe) {
-  // ~1/64 density: squarely in the vector regime regardless of universe,
-  // the shape of a typical unpinned queue entry before its bitmap twin.
-  std::bernoulli_distribution member(1.0 / 64.0);
-  std::vector<TermId> ids;
-  for (size_t id = 0; id < universe; ++id) {
-    if (member(*rng)) ids.push_back(static_cast<TermId>(id));
-  }
-  return EntitySet::FromSorted(std::move(ids), 0);
 }
 
 /// Runs `op` until ~80ms of wall time, returns ns per call. `op` returns a
@@ -149,7 +136,6 @@ int main(int argc, char** argv) {
     const EntitySet a = RandomBitmapSet(&rng, universe, density);
     const EntitySet b = RandomBitmapSet(&rng, universe, density);
     const EntitySet sub = a.Intersect(b).ForcedBitmap(universe);
-    const EntitySet sparse = SparseVectorSet(&rng, universe);
     EntitySet frame;
 
     struct OpDef {
@@ -171,8 +157,6 @@ int main(int argc, char** argv) {
            return frame.size();
          }},
         {"subset", [&] { return sub.SubsetOf(a) ? 1u : 0u; }},
-        {"forced_bitmap_build",
-         [&] { return sparse.ForcedBitmap(universe).size(); }},
     };
 
     for (const OpDef& op : ops) {

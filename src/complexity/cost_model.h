@@ -56,9 +56,9 @@ class CostModel {
 
   CostModel(const KnowledgeBase* kb, const CostModelOptions& options = {});
 
-  /// Variant with an injected prominence provider (e.g. ExogenousProminence
-  /// from a search-engine ranking, §6 future work). `options.metric` is
-  /// ignored for entity rankings in this case.
+  /// Variant with an injected prominence provider (e.g. an external
+  /// ranking such as search-engine hits, §6 future work).
+  /// `options.metric` is ignored for entity rankings in this case.
   CostModel(const KnowledgeBase* kb, const CostModelOptions& options,
             std::unique_ptr<ProminenceProvider> provider);
 

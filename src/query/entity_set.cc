@@ -13,6 +13,20 @@ namespace {
 /// Galloping pays once one side is an order of magnitude smaller.
 constexpr size_t kGallopRatio = 16;
 
+/// Sets `ids`' bits in a zeroed `num_words`-word bitmap. A store-once
+/// variant (accumulate a word's bits in a register, one store per touched
+/// word) and SIMD variants were measured against this loop on sorted
+/// sparse inputs and did not beat it: the grouping branches cost more
+/// than the read-modify-writes they save, and the zero fill is already
+/// vectorized by libc.
+void BuildBitmap(const std::vector<TermId>& ids, size_t num_words,
+                 std::vector<uint64_t>* words) {
+  words->assign(num_words, 0);
+  for (const TermId id : ids) {
+    (*words)[id >> 6] |= uint64_t{1} << (id & 63);
+  }
+}
+
 void IntersectVectorsInto(const std::vector<TermId>& a,
                           const std::vector<TermId>& b,
                           std::vector<TermId>* out) {
@@ -74,12 +88,7 @@ void EntitySet::Adapt() {
 }
 
 void EntitySet::ToBitmapRep() {
-  const size_t num_words = (universe_ + 63) / 64;
-  words_.resize(num_words);
-  if (num_words > 0) {
-    ActiveSetKernels().build_bitmap(ids_.data(), ids_.size(), words_.data(),
-                                    num_words);
-  }
+  BuildBitmap(ids_, (universe_ + 63) / 64, &words_);
   ids_.clear();
   ids_.shrink_to_fit();
   is_bitmap_ = true;
@@ -251,11 +260,7 @@ EntitySet EntitySet::ForcedBitmap(size_t min_universe) const {
     out.words_.assign(words_.begin(), words_.end());
     out.words_.resize(num_words, 0);
   } else {
-    out.words_.resize(num_words);
-    if (num_words > 0) {
-      ActiveSetKernels().build_bitmap(ids_.data(), ids_.size(),
-                                      out.words_.data(), num_words);
-    }
+    BuildBitmap(ids_, num_words, &out.words_);
   }
   return out;
 }

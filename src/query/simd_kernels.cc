@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -61,25 +60,8 @@ size_t AndStorePopcountScalar(const uint64_t* a, const uint64_t* b,
   return count;
 }
 
-/// Bitmap construction, used at every dispatch level. A store-once
-/// variant (accumulate all bits of a word in a register, one store per
-/// touched word instead of one read-modify-write per id) was measured
-/// against this loop on sorted sparse inputs and lost at every universe
-/// size — the grouping branches cost more than the RMWs they save, and
-/// the zero-fill memset is already vectorized by libc — so scalar is
-/// the build kernel everywhere and BENCH_simd.json records it at 1x by
-/// construction.
-void BuildBitmapScalar(const TermId* ids, size_t n, uint64_t* words,
-                       size_t num_words) {
-  std::memset(words, 0, num_words * sizeof(uint64_t));
-  for (size_t i = 0; i < n; ++i) {
-    words[ids[i] >> 6] |= uint64_t{1} << (ids[i] & 63);
-  }
-}
-
 constexpr SetKernels kScalarKernels = {AndPopcountCappedScalar, SubsetScalar,
-                                       AndStorePopcountScalar,
-                                       BuildBitmapScalar};
+                                       AndStorePopcountScalar};
 
 // ---------------------------------------------------------------------------
 // AVX2: 4 words per vector; popcount via the pshufb nibble lookup
@@ -173,7 +155,7 @@ __attribute__((target("avx2,popcnt"))) size_t AndStorePopcountAvx2(
 }
 
 constexpr SetKernels kAvx2Kernels = {AndPopcountCappedAvx2, SubsetAvx2,
-                                     AndStorePopcountAvx2, BuildBitmapScalar};
+                                     AndStorePopcountAvx2};
 
 // ---------------------------------------------------------------------------
 // AVX-512 + VPOPCNTDQ: 8 words per vector, native 64-bit lane popcount,
@@ -263,8 +245,7 @@ __attribute__((target(REMI_AVX512_TARGET))) size_t AndStorePopcountAvx512(
 #pragma GCC diagnostic pop
 
 constexpr SetKernels kAvx512Kernels = {AndPopcountCappedAvx512, SubsetAvx512,
-                                       AndStorePopcountAvx512,
-                                       BuildBitmapScalar};
+                                       AndStorePopcountAvx512};
 
 #elif defined(__aarch64__)
 
@@ -331,7 +312,7 @@ size_t AndStorePopcountNeon(const uint64_t* a, const uint64_t* b,
 }
 
 constexpr SetKernels kNeonKernels = {AndPopcountCappedNeon, SubsetNeon,
-                                     AndStorePopcountNeon, BuildBitmapScalar};
+                                     AndStorePopcountNeon};
 
 #endif  // architecture variants
 

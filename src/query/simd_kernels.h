@@ -3,8 +3,9 @@
 // The steady state of the REMI search kernel (remi/remi.cc) is a stream of
 // three operations over 64-bit bitmap words — AND+popcount (the count-first
 // node decision), AND-store+popcount (arena-frame materialization) and
-// subset tests (redundant-subtree pruning) — plus the one-time bulk bitmap
-// builds of the pinned-queue forced twins. Each operation has a portable
+// subset tests (redundant-subtree pruning). (The one-time bitmap builds
+// of the pinned-queue forced twins are a plain loop in entity_set.cc: no
+// vector variant beat it.) Each operation has a portable
 // scalar implementation (the correctness oracle) and SIMD variants
 // (AVX2 / AVX-512-VPOPCNTDQ / NEON) selected at runtime from the CPU probe
 // in util/cpu_features.h. All variants are compiled into every binary via
@@ -26,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "rdf/term.h"
 #include "util/cpu_features.h"
 
 namespace remi {
@@ -41,11 +41,6 @@ struct SetKernels {
   /// out[i] = a[i] & b[i] for i < n; returns popcount of the result.
   size_t (*and_store_popcount)(const uint64_t* a, const uint64_t* b,
                                uint64_t* out, size_t n);
-  /// Builds a bitmap from `n` sorted, deduplicated ids: zero-fills
-  /// words[0, num_words) and sets each id's bit. Every id must satisfy
-  /// id / 64 < num_words.
-  void (*build_bitmap)(const TermId* ids, size_t n, uint64_t* words,
-                       size_t num_words);
 };
 
 /// The kernels for the currently active dispatch level (one relaxed

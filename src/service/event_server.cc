@@ -137,6 +137,9 @@ void EventServer::Stop() {
 }
 
 bool EventServer::Drain(double grace_seconds) {
+  // Not running (never started, or stopped): no connection to drain and
+  // no loop to handle the request.
+  if (!loop_thread_.joinable()) return true;
   drain_requested_.store(true, std::memory_order_relaxed);
   Wake();
   const auto deadline = std::chrono::steady_clock::now() +
@@ -145,12 +148,15 @@ bool EventServer::Drain(double grace_seconds) {
                             std::chrono::duration<double>(grace_seconds));
   bool all_done;
   for (;;) {
-    all_done = open_connections_.load(std::memory_order_relaxed) == 0;
+    // Until the loop has handled the request, connections still in the
+    // accept backlog are not counted yet: zero open means nothing then.
+    all_done = !drain_requested_.load(std::memory_order_acquire) &&
+               open_connections_.load(std::memory_order_relaxed) == 0;
     if (all_done || std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   // Grace used up (or everything finished): either way the server ends
-  // fully stopped, mirroring LineServer::Drain.
+  // fully stopped.
   Stop();
   return all_done;
 }
@@ -299,7 +305,11 @@ void EventServer::LoopThread() {
 
 void EventServer::HandleControl() {
   if (!drain_requested_.load(std::memory_order_relaxed)) return;
-  drain_requested_.store(false, std::memory_order_relaxed);
+  // Clients whose handshake completed before the drain sit in the accept
+  // backlog and may already have sent requests: take them in, so they
+  // are served like every other open connection instead of vanishing
+  // with the listener.
+  if (listener_active_ && !listener_paused_) AcceptReady();
   // Stop the intake: new clients get ECONNREFUSED instead of queueing
   // behind a server that will never serve them.
   if (listen_fd_ >= 0) {
@@ -318,6 +328,7 @@ void EventServer::HandleControl() {
     Connection* conn = entry.second.get();
     if (conn->fd >= 0 && !conn->read_closed) shutdown(conn->fd, SHUT_RD);
   }
+  drain_requested_.store(false, std::memory_order_release);
 }
 
 void EventServer::AcceptReady() {

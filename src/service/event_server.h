@@ -1,6 +1,5 @@
-// An epoll-based nonblocking front end for remi::Service — the
-// production transport (LineServer remains as the thread-per-connection
-// reference implementation).
+// An epoll-based nonblocking front end for remi::Service — the one
+// serving core behind tools/remi_server.
 //
 // One event-loop thread multiplexes every connection through epoll
 // (level-triggered) over nonblocking sockets: accept, read, and write
@@ -17,8 +16,8 @@
 //     (frame_codec.h). One connection carries many in-flight requests;
 //     responses complete out of order and are matched by id. Payloads are
 //     the same JSON documents as the NDJSON protocol.
-//   * NDJSON ('{' or whitespace): the LineServer debug protocol,
-//     byte-compatible — one JSON request per line, responses in order.
+//   * NDJSON ('{' or whitespace): the debug protocol — one JSON request
+//     per line, responses in order (json_codec.h).
 //
 // Backpressure is explicit in both directions: a connection whose write
 // buffer exceeds its budget stops being read (EPOLLIN is dropped until
@@ -55,7 +54,7 @@ struct EventServerOptions {
   /// listen(2) backlog.
   int backlog = 128;
   /// NDJSON request lines longer than this poison the connection (one
-  /// error response, then close) — same contract as LineServerOptions.
+  /// error response, then close).
   size_t max_line_bytes = 1 << 20;
   /// Binary frames declaring a longer payload poison the connection
   /// before the payload is buffered (one error frame, then close).
@@ -87,7 +86,7 @@ struct EventServerOptions {
 };
 
 /// \brief Accepts connections and serves both wire protocols until
-/// Stop(). One-shot, like LineServer: a stopped server cannot restart.
+/// Stop(). One-shot: a stopped server cannot restart.
 class EventServer {
  public:
   /// \param service the request handler (not owned; must outlive the
@@ -108,11 +107,12 @@ class EventServer {
   /// joins every thread. Idempotent; also run by the destructor.
   void Stop();
 
-  /// Graceful shutdown, same contract as LineServer::Drain: stop
-  /// accepting, half-close every connection (SHUT_RD — requests already
-  /// received, including frames already admitted to a connection's
-  /// queue, keep executing and their responses still flush), wait up to
-  /// `grace_seconds`, then cancel whatever is left and hard-stop.
+  /// Graceful shutdown: take in the connections already waiting in the
+  /// accept backlog, stop accepting, half-close every connection
+  /// (SHUT_RD — requests already received, including frames already
+  /// admitted to a connection's queue, keep executing and their
+  /// responses still flush), wait up to `grace_seconds`, then cancel
+  /// whatever is left and hard-stop.
   /// Returns true iff every connection finished within the grace period.
   bool Drain(double grace_seconds);
 

@@ -124,33 +124,27 @@ Status ReadQuota(const JsonValue& v, std::optional<TenantQuota>* quota) {
   return Status::OK();
 }
 
-/// Sets one tenant's counter slice onto `out` (field names match the
-/// service-wide CountersToJson where the concepts coincide).
-void SetTenantCounterFields(const TenantCounters& c, JsonValue* out) {
-  out->Set("admitted", JsonValue::Number(static_cast<double>(c.admitted)));
-  out->Set("completed_ok",
-           JsonValue::Number(static_cast<double>(c.completed_ok)));
-  out->Set("deadline_exceeded",
-           JsonValue::Number(static_cast<double>(c.deadline_exceeded)));
-  out->Set("cancelled", JsonValue::Number(static_cast<double>(c.cancelled)));
-  out->Set("rejected", JsonValue::Number(static_cast<double>(c.rejected)));
-  out->Set("failed", JsonValue::Number(static_cast<double>(c.failed)));
-  out->Set("shed_expired_in_queue",
-           JsonValue::Number(static_cast<double>(c.shed_expired_in_queue)));
-  out->Set("in_flight", JsonValue::Number(static_cast<double>(c.in_flight)));
-  out->Set("queued", JsonValue::Number(static_cast<double>(c.queued)));
-  out->Set("peak_in_flight",
-           JsonValue::Number(static_cast<double>(c.peak_in_flight)));
-  out->Set("reloads_ok",
-           JsonValue::Number(static_cast<double>(c.reloads_ok)));
-  out->Set("reloads_rejected",
-           JsonValue::Number(static_cast<double>(c.reloads_rejected)));
-  out->Set("generation",
-           JsonValue::Number(static_cast<double>(c.generation)));
-  out->Set("nodes_visited_total",
-           JsonValue::Number(static_cast<double>(c.nodes_visited_total)));
-  out->Set("mine_micros_total",
-           JsonValue::Number(static_cast<double>(c.mine_micros_total)));
+void SetCount(JsonValue* out, const char* key, uint64_t value) {
+  out->Set(key, JsonValue::Number(static_cast<double>(value)));
+}
+
+/// Sets the counter fields both "stats" documents share — the
+/// service-wide one and a tenant slice — onto `out`.
+void SetRequestCounterFields(const RequestCounters& c, JsonValue* out) {
+  SetCount(out, "admitted", c.admitted);
+  SetCount(out, "completed_ok", c.completed_ok);
+  SetCount(out, "deadline_exceeded", c.deadline_exceeded);
+  SetCount(out, "cancelled", c.cancelled);
+  SetCount(out, "rejected", c.rejected);
+  SetCount(out, "failed", c.failed);
+  SetCount(out, "shed_expired_in_queue", c.shed_expired_in_queue);
+  SetCount(out, "in_flight", c.in_flight);
+  SetCount(out, "peak_in_flight", c.peak_in_flight);
+  SetCount(out, "reloads_ok", c.reloads_ok);
+  SetCount(out, "reloads_rejected", c.reloads_rejected);
+  SetCount(out, "generation", c.generation);
+  SetCount(out, "nodes_visited_total", c.nodes_visited_total);
+  SetCount(out, "mine_micros_total", c.mine_micros_total);
 }
 
 /// One target array: strings are lexical forms, numbers are raw ids.
@@ -365,65 +359,28 @@ JsonValue CountersToJson(const Service& service) {
           JsonValue::Number(static_cast<double>(kb->NumEntities())));
   out.Set("predicates", JsonValue::Number(static_cast<double>(
                             kb->NumPredicates())));
-  out.Set("admitted",
-          JsonValue::Number(static_cast<double>(counters.admitted)));
-  out.Set("completed_ok",
-          JsonValue::Number(static_cast<double>(counters.completed_ok)));
-  out.Set("deadline_exceeded", JsonValue::Number(static_cast<double>(
-                                   counters.deadline_exceeded)));
-  out.Set("cancelled",
-          JsonValue::Number(static_cast<double>(counters.cancelled)));
-  out.Set("rejected",
-          JsonValue::Number(static_cast<double>(counters.rejected)));
-  out.Set("failed",
-          JsonValue::Number(static_cast<double>(counters.failed)));
-  out.Set("in_flight",
-          JsonValue::Number(static_cast<double>(counters.in_flight)));
-  out.Set("peak_in_flight", JsonValue::Number(
-                                static_cast<double>(counters.peak_in_flight)));
-  out.Set("generation",
-          JsonValue::Number(static_cast<double>(counters.generation)));
-  out.Set("active_generations", JsonValue::Number(static_cast<double>(
-                                    counters.active_generations)));
-  out.Set("reloads_ok",
-          JsonValue::Number(static_cast<double>(counters.reloads_ok)));
-  out.Set("reloads_rejected", JsonValue::Number(static_cast<double>(
-                                  counters.reloads_rejected)));
-  out.Set("accept_errors_retried",
-          JsonValue::Number(
-              static_cast<double>(counters.accept_errors_retried)));
-  out.Set("accept_errors_fatal",
-          JsonValue::Number(static_cast<double>(counters.accept_errors_fatal)));
-  out.Set("shed_expired_in_queue",
-          JsonValue::Number(
-              static_cast<double>(counters.shed_expired_in_queue)));
-  out.Set("brownout_rejected",
-          JsonValue::Number(static_cast<double>(counters.brownout_rejected)));
+  SetRequestCounterFields(counters, &out);
+  SetCount(&out, "active_generations", counters.active_generations);
+  SetCount(&out, "accept_errors_retried", counters.accept_errors_retried);
+  SetCount(&out, "accept_errors_fatal", counters.accept_errors_fatal);
+  SetCount(&out, "brownout_rejected", counters.brownout_rejected);
   out.Set("brownout_active", JsonValue::Bool(counters.brownout_active));
-  out.Set("connections_reaped_idle",
-          JsonValue::Number(
-              static_cast<double>(counters.connections_reaped_idle)));
-  out.Set("connections_reaped_write_stall",
-          JsonValue::Number(static_cast<double>(
-              counters.connections_reaped_write_stall)));
-  out.Set("nodes_visited_total",
-          JsonValue::Number(static_cast<double>(counters.nodes_visited_total)));
-  out.Set("mine_micros_total",
-          JsonValue::Number(static_cast<double>(counters.mine_micros_total)));
+  SetCount(&out, "connections_reaped_idle", counters.connections_reaped_idle);
+  SetCount(&out, "connections_reaped_write_stall",
+           counters.connections_reaped_write_stall);
   // --- multi-tenant gauges + per-tenant breakdown ---
-  out.Set("tenants_active",
-          JsonValue::Number(static_cast<double>(counters.tenants_active)));
+  SetCount(&out, "tenants_active", counters.tenants_active);
   // Same value as active_generations, under the registry-level name the
   // runbook uses: epochs still alive across ALL tenants.
-  out.Set("epochs_live_total", JsonValue::Number(static_cast<double>(
-                                   counters.active_generations)));
+  SetCount(&out, "epochs_live_total", counters.active_generations);
   JsonValue tenants = JsonValue::Object();
   for (const KbInfo& info : service.ListKbs()) {
     if (!info.open) continue;  // lazy catalog entries have served nothing
     auto slice = service.CountersFor(info.name);
     if (!slice.ok()) continue;  // raced with a concurrent detach
     JsonValue entry = JsonValue::Object();
-    SetTenantCounterFields(*slice, &entry);
+    SetRequestCounterFields(*slice, &entry);
+    SetCount(&entry, "queued", slice->queued);
     tenants.Set(info.name, std::move(entry));
   }
   out.Set("tenants", std::move(tenants));
@@ -434,7 +391,8 @@ JsonValue TenantCountersToJson(const std::string& kb,
                                const TenantCounters& counters) {
   JsonValue out = StatusToJson(Status::OK());
   out.Set("kb", JsonValue::String(kb));
-  SetTenantCounterFields(counters, &out);
+  SetRequestCounterFields(counters, &out);
+  SetCount(&out, "queued", counters.queued);
   return out;
 }
 

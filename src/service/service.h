@@ -262,35 +262,18 @@ struct ReloadKbRequest {
   KbSpec spec;
 };
 
-/// Service-wide request counters (monotonic since construction). At
-/// quiescence, admitted == completed_ok + deadline_exceeded + cancelled
-/// + failed; rejected requests were never admitted. All request fields
-/// aggregate over every tenant; the per-tenant split is CountersFor().
-struct ServiceCounters {
-  uint64_t admitted = 0;
-  uint64_t completed_ok = 0;
-  uint64_t deadline_exceeded = 0;
-  uint64_t cancelled = 0;
-  uint64_t rejected = 0;  ///< kResourceExhausted at admission
-  uint64_t failed = 0;    ///< admitted but invalid (bad targets etc.)
-  /// Requests whose deadline had already expired at admission or while
-  /// queued: shed in-band with DeadlineExceeded *before* any mining work
-  /// (a subset of deadline_exceeded; nodes_visited_total is untouched).
-  uint64_t shed_expired_in_queue = 0;
+/// Service-wide counters. The request-outcome fields (RequestCounters)
+/// are the sum over every tenant ever served — live tenants plus the
+/// ledger's retired remainder — so they stay monotonic across detaches;
+/// the per-tenant split is CountersFor(). The fields below are
+/// service-wide only.
+struct ServiceCounters : RequestCounters {
   /// Callers rejected only because brownout tightened the queue depth
   /// (the full max_queued would have let them wait).
   uint64_t brownout_rejected = 0;
   /// Gauge: the admission controller is currently browned out (p99 queue
   /// wait exceeded ServiceOptions::brownout_p99_queue_wait_ms).
   bool brownout_active = false;
-  size_t in_flight = 0;
-  size_t peak_in_flight = 0;
-  // --- hot-swap registry ---
-  uint64_t reloads_ok = 0;        ///< published generations (beyond the first)
-  uint64_t reloads_rejected = 0;  ///< fail-closed ReloadKb calls
-  /// The default tenant's serving generation (generations are
-  /// per-tenant; see CountersFor for named tenants).
-  uint64_t generation = 0;
   /// Epochs still alive across ALL tenants: each tenant's serving epoch
   /// plus retired generations kept alive by in-flight pinned requests.
   /// Equals tenants_active at quiescence; a value stuck above that means
@@ -300,7 +283,7 @@ struct ServiceCounters {
   /// Open tenants (the default one counts; lazy catalog entries don't
   /// until first use).
   size_t tenants_active = 0;
-  // --- transport health (reported by the wire servers) ---
+  // --- transport health (reported by the wire server) ---
   /// accept(2) failures survived and retried (EPROTO, EMFILE bursts, ...).
   /// A growing value with zero new connections is the old zombie-accept
   /// signature, now visible instead of silent.
@@ -314,9 +297,6 @@ struct ServiceCounters {
   /// --write-stall-timeout-ms — the slow-loris signature).
   uint64_t connections_reaped_idle = 0;
   uint64_t connections_reaped_write_stall = 0;
-  // --- aggregated mining stats (the "counters" verb's RemiStats view) ---
-  uint64_t nodes_visited_total = 0;  ///< DFS nodes across all admitted runs
-  uint64_t mine_micros_total = 0;    ///< wall micros inside the miner
 };
 
 /// \brief One serving process, many named KBs, many requests,
@@ -516,9 +496,6 @@ class Service {
                                  bool verbalize,
                                  std::vector<TermId> targets) const;
 
-  /// Counts one request shed for an expired deadline before any mining
-  /// work ran (global + tenant). Caller holds admission_mu_.
-  void RecordShedLocked(Tenant& tenant);
   /// Feeds one queue-wait sample into the brownout window and updates
   /// brownout_active_ (enter above the p99 bound, exit below half of
   /// it). Caller holds admission_mu_; no-op when brownout is disabled.
@@ -529,13 +506,6 @@ class Service {
   size_t EffectiveMaxQueuedLocked() const;
 
   Deadline DeadlineFor(const RequestControl& control) const;
-  /// Counts one admitted run's outcome into the global and the tenant
-  /// counters (the two views always reconcile).
-  void CountOutcome(Tenant& tenant, const Status& status);
-  /// Folds one admitted run into the service-wide + tenant mining
-  /// aggregates.
-  void RecordMiningStats(Tenant& tenant, const RemiStats& stats,
-                         double mine_seconds);
 
   ServiceOptions options_;
   std::unique_ptr<ThreadPool> pool_;  ///< iff mining.num_threads > 1
@@ -562,22 +532,13 @@ class Service {
   size_t queue_wait_pos_ = 0;
   bool brownout_active_ = false;
 
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> completed_ok_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> shed_expired_in_queue_{0};
+  // Service-wide counters only: every request outcome is counted once,
+  // in its Tenant (see CounterLedger).
   std::atomic<uint64_t> brownout_rejected_{0};
   std::atomic<uint64_t> connections_reaped_idle_{0};
   std::atomic<uint64_t> connections_reaped_write_stall_{0};
-  std::atomic<uint64_t> reloads_ok_{0};
-  std::atomic<uint64_t> reloads_rejected_{0};
   std::atomic<uint64_t> accept_errors_retried_{0};
   std::atomic<uint64_t> accept_errors_fatal_{0};
-  std::atomic<uint64_t> nodes_visited_total_{0};
-  std::atomic<uint64_t> mine_micros_total_{0};
 };
 
 }  // namespace remi

@@ -167,11 +167,17 @@ Result<std::vector<KbCatalogEntry>> ParseKbCatalog(std::string_view json) {
 // --- Tenant ------------------------------------------------------------------
 
 Tenant::Tenant(std::string name, const RemiOptions& mining, TenantQuota quota,
-               std::shared_ptr<std::atomic<size_t>> live_epochs)
+               std::shared_ptr<std::atomic<size_t>> live_epochs,
+               std::shared_ptr<CounterLedger> ledger)
     : name_(std::move(name)),
       mining_(mining),
       quota_(quota),
-      live_epochs_(std::move(live_epochs)) {}
+      live_epochs_(std::move(live_epochs)),
+      ledger_(std::move(ledger)) {
+  ledger_->Register(this);
+}
+
+Tenant::~Tenant() { ledger_->Retire(this); }
 
 void Tenant::PublishInitial(KnowledgeBase kb, size_t parse_skipped_lines) {
   auto epoch = std::make_shared<KbEpoch>(std::move(kb), /*generation=*/1,
@@ -266,24 +272,14 @@ void Tenant::RecordOutcome(const Status& status) {
   }
 }
 
-void Tenant::RecordMiningStats(uint64_t nodes_visited, uint64_t mine_micros) {
+void Tenant::RecordMiningStats(uint64_t nodes_visited, double mine_seconds) {
   nodes_visited_total_.fetch_add(nodes_visited, std::memory_order_relaxed);
-  mine_micros_total_.fetch_add(mine_micros, std::memory_order_relaxed);
+  mine_micros_total_.fetch_add(static_cast<uint64_t>(mine_seconds * 1e6),
+                               std::memory_order_relaxed);
 }
 
-double Tenant::MeanServiceMs() const {
-  const uint64_t completed =
-      completed_ok_.load(std::memory_order_relaxed) +
-      deadline_exceeded_.load(std::memory_order_relaxed) +
-      cancelled_.load(std::memory_order_relaxed);
-  if (completed == 0) return 0.0;
-  return static_cast<double>(
-             mine_micros_total_.load(std::memory_order_relaxed)) /
-         (1000.0 * static_cast<double>(completed));
-}
-
-TenantCounters Tenant::counters() const {
-  TenantCounters c;
+RequestCounters Tenant::Counts() const {
+  RequestCounters c;
   c.admitted = admitted_.load(std::memory_order_relaxed);
   c.completed_ok = completed_ok_.load(std::memory_order_relaxed);
   c.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
@@ -294,10 +290,64 @@ TenantCounters Tenant::counters() const {
       shed_expired_in_queue_.load(std::memory_order_relaxed);
   c.reloads_ok = reloads_ok_.load(std::memory_order_relaxed);
   c.reloads_rejected = reloads_rejected_.load(std::memory_order_relaxed);
-  c.generation = generation();
   c.nodes_visited_total = nodes_visited_total_.load(std::memory_order_relaxed);
   c.mine_micros_total = mine_micros_total_.load(std::memory_order_relaxed);
   return c;
+}
+
+TenantCounters Tenant::counters() const {
+  TenantCounters c;
+  static_cast<RequestCounters&>(c) = Counts();
+  c.generation = generation();
+  return c;
+}
+
+// --- RequestCounters / CounterLedger -----------------------------------------
+
+void RequestCounters::AddCounts(const RequestCounters& other) {
+  admitted += other.admitted;
+  completed_ok += other.completed_ok;
+  deadline_exceeded += other.deadline_exceeded;
+  cancelled += other.cancelled;
+  rejected += other.rejected;
+  failed += other.failed;
+  shed_expired_in_queue += other.shed_expired_in_queue;
+  reloads_ok += other.reloads_ok;
+  reloads_rejected += other.reloads_rejected;
+  nodes_visited_total += other.nodes_visited_total;
+  mine_micros_total += other.mine_micros_total;
+}
+
+double RequestCounters::MeanServiceMs() const {
+  const uint64_t completed = completed_ok + deadline_exceeded + cancelled;
+  if (completed == 0) return 0.0;
+  return static_cast<double>(mine_micros_total) /
+         (1000.0 * static_cast<double>(completed));
+}
+
+void CounterLedger::Register(const Tenant* tenant) {
+  std::lock_guard<std::mutex> lock(mu_);
+  live_.push_back(tenant);
+}
+
+void CounterLedger::Retire(const Tenant* tenant) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // The fold and the unregister happen under one lock: no Sum() can see
+  // the tenant's counts twice or not at all.
+  retired_.AddCounts(tenant->Counts());
+  live_.erase(std::find(live_.begin(), live_.end(), tenant));
+}
+
+void CounterLedger::AddUnowned(const RequestCounters& counts) {
+  std::lock_guard<std::mutex> lock(mu_);
+  retired_.AddCounts(counts);
+}
+
+RequestCounters CounterLedger::Sum() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  RequestCounters sum = retired_;
+  for (const Tenant* tenant : live_) sum.AddCounts(tenant->Counts());
+  return sum;
 }
 
 // --- TenantRegistry ----------------------------------------------------------
@@ -312,7 +362,7 @@ TenantRegistry::TenantRegistry(const RemiOptions& mining,
 void TenantRegistry::InitDefault(KnowledgeBase kb,
                                  size_t parse_skipped_lines) {
   auto tenant = std::make_shared<Tenant>(std::string(), mining_,
-                                         default_quota_, live_epochs_);
+                                         default_quota_, live_epochs_, ledger_);
   tenant->PublishInitial(std::move(kb), parse_skipped_lines);
   std::lock_guard<std::mutex> lock(mu_);
   tenants_.emplace(std::string(), std::move(tenant));
@@ -355,7 +405,7 @@ Result<std::shared_ptr<Tenant>> TenantRegistry::Resolve(
       return WithMessagePrefix(loaded.status(), "kb '" + name + "'");
     }
     auto tenant = std::make_shared<Tenant>(name, mining_, entry.quota,
-                                           live_epochs_);
+                                           live_epochs_, ledger_);
     tenant->PublishInitial(std::move(loaded->kb),
                            loaded->parse_skipped_lines);
     tenants_.emplace(name, tenant);
@@ -399,7 +449,7 @@ Status TenantRegistry::Attach(const std::string& name, const KbSpec& spec,
     return WithMessagePrefix(loaded.status(), "kb '" + name + "'");
   }
   auto tenant = std::make_shared<Tenant>(
-      name, mining_, quota.value_or(default_quota_), live_epochs_);
+      name, mining_, quota.value_or(default_quota_), live_epochs_, ledger_);
   tenant->PublishInitial(std::move(loaded->kb), loaded->parse_skipped_lines);
   tenants_.emplace(name, std::move(tenant));
   return Status::OK();
@@ -412,7 +462,7 @@ Status TenantRegistry::AttachKb(const std::string& name, KnowledgeBase kb,
         "the default kb \"\" always exists and cannot be attached");
   }
   auto tenant = std::make_shared<Tenant>(
-      name, mining_, quota.value_or(default_quota_), live_epochs_);
+      name, mining_, quota.value_or(default_quota_), live_epochs_, ledger_);
   tenant->PublishInitial(std::move(kb), 0);
   std::lock_guard<std::mutex> lock(mu_);
   if (tenants_.count(name) > 0 || loading_.count(name) > 0 ||
@@ -483,14 +533,6 @@ std::vector<KbInfo> TenantRegistry::List() const {
   // interleave; one stable sort keeps "" first and names ordered.
   std::sort(out.begin(), out.end(),
             [](const KbInfo& a, const KbInfo& b) { return a.name < b.name; });
-  return out;
-}
-
-std::vector<std::shared_ptr<Tenant>> TenantRegistry::OpenTenants() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::shared_ptr<Tenant>> out;
-  out.reserve(tenants_.size());
-  for (const auto& [name, tenant] : tenants_) out.push_back(tenant);
   return out;
 }
 

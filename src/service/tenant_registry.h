@@ -29,6 +29,10 @@
 //     Detach removes the tenant from the maps only — the last pinned
 //     request destroys the tenant and its epochs. Detach never tears
 //     down a pinned epoch; it drains.
+//   * A tenant counts its own request outcomes, and the CounterLedger
+//     sums them for ServiceCounters. A tenant's counts fold into the
+//     ledger's retired remainder when the tenant object is destroyed,
+//     so the service-wide totals keep a detached tenant's history.
 //   * All tenants' epochs feed one shared live-epoch gauge
 //     (ServiceCounters::active_generations == epochs_live_total), so "a
 //     retired generation leaked" stays a one-number check per process.
@@ -144,30 +148,75 @@ struct TenantQuota {
   size_t max_queued = 0;
 };
 
-/// Per-tenant request counters, same identity as ServiceCounters: at
-/// quiescence admitted == completed_ok + deadline_exceeded + cancelled +
-/// failed, and the sum over tenants of each field reconciles exactly with
-/// the service-wide counter.
-struct TenantCounters {
+/// \brief Request-outcome counters: the fields ServiceCounters and
+/// TenantCounters share. Each event is counted exactly once, in the
+/// Tenant that served it; Service::counters() sums the tenants
+/// (CounterLedger) instead of keeping a second copy. At quiescence
+/// admitted == completed_ok + deadline_exceeded + cancelled + failed;
+/// rejected requests were never admitted.
+struct RequestCounters {
   uint64_t admitted = 0;
   uint64_t completed_ok = 0;
   uint64_t deadline_exceeded = 0;
   uint64_t cancelled = 0;
-  uint64_t rejected = 0;
-  uint64_t failed = 0;
-  /// Subset of deadline_exceeded: requests shed in-band because their
-  /// deadline expired at or while queued at admission — before mining.
+  uint64_t rejected = 0;  ///< kResourceExhausted at admission
+  uint64_t failed = 0;    ///< admitted but invalid (bad targets etc.)
+  /// Requests whose deadline had already expired at admission or while
+  /// queued: shed in-band with DeadlineExceeded *before* any mining work
+  /// (a subset of deadline_exceeded; nodes_visited_total is untouched).
   uint64_t shed_expired_in_queue = 0;
+  uint64_t reloads_ok = 0;        ///< published generations (beyond the first)
+  uint64_t reloads_rejected = 0;  ///< fail-closed ReloadKb calls
+  uint64_t nodes_visited_total = 0;  ///< DFS nodes across all admitted runs
+  uint64_t mine_micros_total = 0;    ///< wall micros inside the miner
+
+  // --- gauges, read at snapshot time (never summed) ---
   size_t in_flight = 0;
-  size_t queued = 0;
   size_t peak_in_flight = 0;
-  uint64_t reloads_ok = 0;
-  uint64_t reloads_rejected = 0;
-  /// This tenant's serving generation (1-based, +1 per successful
-  /// reload — generations are per-tenant, not global).
+  /// The serving generation (1-based, +1 per successful reload —
+  /// generations are per-tenant; the service-wide value is the default
+  /// tenant's).
   uint64_t generation = 0;
-  uint64_t nodes_visited_total = 0;
-  uint64_t mine_micros_total = 0;
+
+  /// Adds `other`'s event counts; the gauges are left alone.
+  void AddCounts(const RequestCounters& other);
+
+  /// Mean time inside the miner per completed run, in milliseconds (0
+  /// before the first completion) — feeds the retry_after_ms hint.
+  double MeanServiceMs() const;
+};
+
+/// One tenant's counter slice (Service::CountersFor).
+struct TenantCounters : RequestCounters {
+  /// This tenant's callers waiting in the admission queue.
+  size_t queued = 0;
+};
+
+class Tenant;
+
+/// \brief The one counters ledger: the sum of every Tenant's counts.
+///
+/// Every Tenant object registers here for its whole lifetime. When the
+/// last owner drops a tenant (a detach, then its last pinned request),
+/// its final counts fold into a retired remainder — at destruction, not
+/// at detach, because requests pinned to a detached tenant keep counting
+/// into it. Events that no tenant owns (a reload naming an unknown kb)
+/// go to the same remainder. Sum() reads the live tenants and the
+/// remainder under one lock, so successive sums never decrease.
+/// Thread-safe.
+class CounterLedger {
+ public:
+  void Register(const Tenant* tenant);
+  /// Folds `tenant`'s final counts into the remainder and unregisters it.
+  void Retire(const Tenant* tenant);
+  void AddUnowned(const RequestCounters& counts);
+  /// Event counts over every tenant ever served (gauges left zero).
+  RequestCounters Sum() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<const Tenant*> live_;
+  RequestCounters retired_;
 };
 
 /// \brief Swap in a new KB generation without dropping requests
@@ -230,7 +279,12 @@ Result<std::vector<KbCatalogEntry>> ParseKbCatalog(std::string_view json);
 class Tenant {
  public:
   Tenant(std::string name, const RemiOptions& mining, TenantQuota quota,
-         std::shared_ptr<std::atomic<size_t>> live_epochs);
+         std::shared_ptr<std::atomic<size_t>> live_epochs,
+         std::shared_ptr<CounterLedger> ledger);
+  /// Retires this tenant's counts into the ledger.
+  ~Tenant();
+  Tenant(const Tenant&) = delete;
+  Tenant& operator=(const Tenant&) = delete;
 
   const std::string& name() const { return name_; }
   const TenantQuota& quota() const { return quota_; }
@@ -257,7 +311,7 @@ class Tenant {
                       const std::optional<EnumeratorOptions>& enumerator,
                       ThreadPool* pool) const;
 
-  // --- per-tenant accounting ------------------------------------------------
+  // --- per-tenant accounting: the only place an event is counted ------------
   void RecordAdmitted() { admitted_.fetch_add(1, std::memory_order_relaxed); }
   void RecordRejected() { rejected_.fetch_add(1, std::memory_order_relaxed); }
   void RecordFailed() { failed_.fetch_add(1, std::memory_order_relaxed); }
@@ -265,17 +319,17 @@ class Tenant {
     shed_expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
   }
   void RecordOutcome(const Status& status);
-  void RecordMiningStats(uint64_t nodes_visited, uint64_t mine_micros);
+  /// Folds one admitted run's DFS nodes and time inside the miner.
+  void RecordMiningStats(uint64_t nodes_visited, double mine_seconds);
 
-  /// Mean service time of this tenant's completed runs in milliseconds
-  /// (0 before the first completion) — feeds the quota-aware
-  /// retry_after_ms hint.
-  double MeanServiceMs() const;
+  /// Snapshot of the event counts only (no gauges; never takes a lock,
+  /// so the ledger may call it under its own).
+  RequestCounters Counts() const;
 
-  /// Snapshot of the atomic counters + generation. The admission gauges
-  /// (in_flight, queued, peak_in_flight) are owned by the Service's
-  /// admission controller and left zero here; Service::CountersFor fills
-  /// them under its admission mutex.
+  /// Counts() + generation. The admission gauges (in_flight, queued,
+  /// peak_in_flight) are owned by the Service's admission controller and
+  /// left zero here; Service::CountersFor fills them under its admission
+  /// mutex.
   TenantCounters counters() const;
 
   /// Per-tenant admission bookkeeping, guarded by the *Service's*
@@ -294,6 +348,7 @@ class Tenant {
   const RemiOptions mining_;
   const TenantQuota quota_;
   std::shared_ptr<std::atomic<size_t>> live_epochs_;
+  std::shared_ptr<CounterLedger> ledger_;
 
   /// The snapshot registry: the serving epoch, swapped by Reload.
   mutable std::mutex epoch_mu_;
@@ -377,8 +432,8 @@ class TenantRegistry {
   /// by name (the default tenant "" first).
   std::vector<KbInfo> List() const;
 
-  /// Open tenants, for counter aggregation.
-  std::vector<std::shared_ptr<Tenant>> OpenTenants() const;
+  /// The ledger every tenant of this registry counts into.
+  CounterLedger& ledger() const { return *ledger_; }
 
   /// Open tenants right now (the tenants_active gauge).
   size_t tenants_active() const;
@@ -392,6 +447,9 @@ class TenantRegistry {
   const RemiOptions mining_;
   const TenantQuota default_quota_;
   std::shared_ptr<std::atomic<size_t>> live_epochs_;
+  /// Shared with every tenant: a tenant pinned by a request may outlive
+  /// the registry's map entry.
+  std::shared_ptr<CounterLedger> ledger_ = std::make_shared<CounterLedger>();
 
   mutable std::mutex mu_;
   /// Signaled when a single-flight load (lazy open or attach) finishes.

@@ -17,6 +17,7 @@
 #include "kbgen/workload.h"
 #include "rdf/rkf2.h"
 #include "remi/remi.h"
+#include "test_support.h"
 #include "util/random.h"
 #include "util/varint.h"
 
@@ -144,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotRoundTripTest,
 
 TEST(SnapshotTest, FileRoundTripViaMmap) {
   const KnowledgeBase kb = BuildSyntheticKb(SmallConfig(11));
-  const std::string path = ::testing::TempDir() + "/roundtrip.rkf2";
+  const std::string path = test::TempPath("roundtrip.rkf2");
   ASSERT_TRUE(kb.SaveSnapshot(path).ok());
   auto opened = KnowledgeBase::OpenSnapshot(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -219,7 +220,7 @@ TEST(SnapshotTest, OwnedDictionaryCopyOutlivesSnapshot) {
   Dictionary dict;
   {
     const KnowledgeBase kb = BuildSyntheticKb(SmallConfig(31));
-    const std::string path = ::testing::TempDir() + "/owned_copy.rkf2";
+    const std::string path = test::TempPath("owned_copy.rkf2");
     ASSERT_TRUE(kb.SaveSnapshot(path).ok());
     auto opened = KnowledgeBase::OpenSnapshot(path);
     ASSERT_TRUE(opened.ok());
@@ -253,7 +254,7 @@ void ExpectSnapshotIntact(const std::string& path,
 TEST(SnapshotCrashSafetyTest, WriterKilledMidStreamLeavesOldSnapshotIntact) {
   const KnowledgeBase old_kb = BuildSyntheticKb(SmallConfig(41));
   const KnowledgeBase new_kb = BuildSyntheticKb(SmallConfig(42));
-  const std::string path = ::testing::TempDir() + "/crash_mid_write.rkf2";
+  const std::string path = test::TempPath("crash_mid_write.rkf2");
   ASSERT_TRUE(old_kb.SaveSnapshot(path).ok());
 
   // "Kill" the writer partway through the data stream: the first write
@@ -274,7 +275,7 @@ TEST(SnapshotCrashSafetyTest, WriterKilledMidStreamLeavesOldSnapshotIntact) {
 TEST(SnapshotCrashSafetyTest, FsyncFailureRejectsTheSaveAndKeepsTheOld) {
   const KnowledgeBase old_kb = BuildSyntheticKb(SmallConfig(43));
   const KnowledgeBase new_kb = BuildSyntheticKb(SmallConfig(44));
-  const std::string path = ::testing::TempDir() + "/crash_fsync.rkf2";
+  const std::string path = test::TempPath("crash_fsync.rkf2");
   ASSERT_TRUE(old_kb.SaveSnapshot(path).ok());
 
   io::FaultInjector injector{io::FaultProfile{}};
@@ -289,7 +290,7 @@ TEST(SnapshotCrashSafetyTest, FsyncFailureRejectsTheSaveAndKeepsTheOld) {
 TEST(SnapshotCrashSafetyTest, RenameFailureRejectsTheSaveAndKeepsTheOld) {
   const KnowledgeBase old_kb = BuildSyntheticKb(SmallConfig(45));
   const KnowledgeBase new_kb = BuildSyntheticKb(SmallConfig(46));
-  const std::string path = ::testing::TempDir() + "/crash_rename.rkf2";
+  const std::string path = test::TempPath("crash_rename.rkf2");
   ASSERT_TRUE(old_kb.SaveSnapshot(path).ok());
 
   io::FaultInjector injector{io::FaultProfile{}};
@@ -307,7 +308,7 @@ TEST(SnapshotCrashSafetyTest, EintrStormsAndShortWritesStillSaveCorrectly) {
   // under an EINTR storm plus pervasive short writes, the published
   // snapshot still round-trips exactly.
   const KnowledgeBase kb = BuildSyntheticKb(SmallConfig(47));
-  const std::string path = ::testing::TempDir() + "/noisy_save.rkf2";
+  const std::string path = test::TempPath("noisy_save.rkf2");
   io::FaultProfile profile;
   profile.seed = 7;
   profile.eintr_probability = 0.2;

@@ -58,6 +58,39 @@ TEST(EntitySetTest, PromotionBoundary) {
   EXPECT_EQ(dense.ToVector(), at);
 }
 
+TEST(EntitySetTest, ForcedBitmapSetsExactlyTheMemberBits) {
+  // From either representation, into a universe at least as wide: every
+  // member's bit is set, no other bit is (the widened tail included),
+  // and iterating the bitmap yields exactly the members in order.
+  Rng rng(123);
+  for (const size_t universe : {size_t{1}, size_t{64}, size_t{65},
+                                size_t{448}, size_t{8256}}) {
+    for (const double density : {0.0, 0.02, 0.5, 1.0}) {
+      std::vector<TermId> ids;
+      for (size_t id = 0; id < universe; ++id) {
+        if (rng.NextBool(density)) ids.push_back(static_cast<TermId>(id));
+      }
+      const EntitySet source = EntitySet::FromSorted(ids, universe);
+      for (const size_t min_universe : {universe, universe + 100}) {
+        const EntitySet forced = source.ForcedBitmap(min_universe);
+        ASSERT_TRUE(forced.is_bitmap());
+        EXPECT_EQ(forced.universe(), min_universe);
+        EXPECT_EQ(forced.size(), ids.size());
+        EXPECT_EQ(forced.ToVector(), ids)
+            << "universe=" << universe << " d=" << density;
+        size_t next = 0;
+        for (size_t id = 0; id < min_universe; ++id) {
+          const bool member = next < ids.size() && ids[next] == id;
+          if (member) ++next;
+          EXPECT_EQ(forced.Contains(static_cast<TermId>(id)), member)
+              << "id=" << id << " universe=" << universe
+              << " d=" << density;
+        }
+      }
+    }
+  }
+}
+
 TEST(EntitySetTest, SmallUniverseNeverPromotes) {
   ASSERT_EQ(EntitySet::kMinBitmapUniverse, 256u);
   std::vector<TermId> all;

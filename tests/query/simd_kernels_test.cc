@@ -159,34 +159,6 @@ TEST(SimdKernelTest, AndStorePopcountMatchesScalarAndPermitsAliasing) {
   }
 }
 
-TEST(SimdKernelTest, BuildBitmapMatchesScalarOracle) {
-  const auto levels = HostSimdLevels();
-  const SetKernels& scalar = SetKernelsFor(SimdLevel::kScalar);
-  std::mt19937_64 rng(123);
-  for (const size_t universe_words : {size_t{1}, size_t{2}, size_t{7},
-                                      size_t{64}, size_t{129}}) {
-    const size_t universe = universe_words * 64;
-    for (const double density : {0.0, 0.02, 0.5, 1.0}) {
-      std::bernoulli_distribution member(density);
-      std::vector<TermId> ids;
-      for (size_t id = 0; id < universe; ++id) {
-        if (member(rng)) ids.push_back(static_cast<TermId>(id));
-      }
-      std::vector<uint64_t> expect_words(universe_words, ~uint64_t{0});
-      scalar.build_bitmap(ids.data(), ids.size(), expect_words.data(),
-                          universe_words);
-      for (const SimdLevel level : levels) {
-        std::vector<uint64_t> words(universe_words, ~uint64_t{0});
-        SetKernelsFor(level).build_bitmap(ids.data(), ids.size(),
-                                          words.data(), universe_words);
-        EXPECT_EQ(words, expect_words)
-            << SimdLevelName(level) << " words=" << universe_words
-            << " d=" << density;
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, ForcedLevelOnlyLowersDispatch) {
   const SimdLevel best = DetectCpuFeatures().Best();
   {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_support.h"
+
 namespace remi {
 namespace {
 
@@ -171,7 +173,7 @@ TEST_F(NTriplesTest, RoundTripThroughWriter) {
 }
 
 TEST_F(NTriplesTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/ntriples_test.nt";
+  const std::string path = test::TempPath("ntriples_test.nt");
   {
     Dictionary d;
     NTriplesParser p(&d);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "rdf/ntriples.h"
+#include "test_support.h"
 #include "util/random.h"
 
 namespace remi {
@@ -85,7 +86,7 @@ TEST(RkfTest, TruncationIsCorruption) {
 
 TEST(RkfTest, FileRoundTrip) {
   Fixture f;
-  const std::string path = ::testing::TempDir() + "/test.rkf";
+  const std::string path = test::TempPath("test.rkf");
   ASSERT_TRUE(WriteRkfFile(f.dict, f.triples, path).ok());
   auto data = ReadRkfFile(path);
   ASSERT_TRUE(data.ok());

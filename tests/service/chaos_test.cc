@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "kb/knowledge_base.h"
 #include "service/event_server.h"
 #include "service/service.h"
+#include "test_support.h"
 #include "util/io_hooks.h"
 
 namespace remi {
@@ -128,7 +130,7 @@ class RawClient {
 class ChaosServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = test::ProcessTempDir();
     image_ = ChaosKb().SerializeSnapshot();
     default_path_ = dir_ + "/chaos_default.rkf2";
     alpha_path_ = dir_ + "/chaos_alpha.rkf2";
@@ -232,6 +234,10 @@ class ChaosServiceTest : public ::testing::Test {
   std::string default_path_;
   std::string alpha_path_;
   std::vector<std::string> reload_paths_;
+  /// Outlives the server: after a test's ScopedHooks scope ends, the
+  /// loop thread may still be inside a call it made through the
+  /// injector (a blocked epoll_wait), until TearDown stops the server.
+  std::optional<io::FaultInjector> injector_;
   std::unique_ptr<Service> service_;
   std::unique_ptr<EventServer> server_;
 };
@@ -255,12 +261,12 @@ TEST_F(ChaosServiceTest, FaultStormPreservesLivenessIdentityAndAccounting) {
     profile.disconnect_probability = 0.01;
     profile.accept_resource_probability = 0.02;
     profile.mmap_fail_probability = 0.2;
-    io::FaultInjector injector(profile);
+    io::FaultInjector& injector = injector_.emplace(profile);
     io::ScopedHooks scoped(&injector);
 
     constexpr int kClients = 4;
     constexpr int kRoundsPerClient = 25;
-    std::vector<std::thread> threads;
+    std::vector<test::JoiningThread> threads;
     for (int t = 0; t < kClients; ++t) {
       threads.emplace_back([&] {
         for (int round = 0; round < kRoundsPerClient; ++round) {
@@ -310,7 +316,7 @@ TEST_F(ChaosServiceTest, FaultStormPreservesLivenessIdentityAndAccounting) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
     });
-    for (std::thread& thread : threads) thread.join();
+    for (test::JoiningThread& thread : threads) thread.join();
   }
 
   EXPECT_EQ(hung.load(), 0u) << "a faulted connection stopped the server";
@@ -339,7 +345,7 @@ TEST_F(ChaosServiceTest, AcceptExhaustionStormLeavesTheListenerAlive) {
     io::FaultProfile profile;
     profile.seed = 99;
     profile.accept_resource_probability = 0.5;
-    io::FaultInjector injector(profile);
+    io::FaultInjector& injector = injector_.emplace(profile);
     io::ScopedHooks scoped(&injector);
     // Under an EMFILE/ENFILE/ENOMEM storm half the accepts fail; the
     // loop must survive every one of them and keep accepting the rest.

@@ -1,7 +1,7 @@
 // EventServer integration tests: an in-process epoll server on an
 // ephemeral loopback port, driven through real TCP sockets in both wire
-// modes — the same code path tools/remi_server.cc serves in its default
-// --mode epoll, minus the flag parsing.
+// modes — the same code path tools/remi_server.cc serves, minus the flag
+// parsing. ndjson_server_test.cc covers the NDJSON verbs one by one.
 
 #include "service/event_server.h"
 
@@ -22,7 +22,7 @@
 
 #include "service/frame_codec.h"
 #include "service/json_codec.h"
-#include "service/line_server.h"
+#include "test_support.h"
 #include "util/io_hooks.h"
 #include "util/json.h"
 
@@ -403,7 +403,8 @@ TEST_F(EventServerTest, BackpressureStillDeliversEverything) {
   // Send everything first, read only afterwards: responses far exceed
   // the write budget, so the server must pause reads and resume as the
   // client drains.
-  std::thread sender([&] { client.SendRaw(wire); });
+  test::JoiningThread sender([&] { client.SendRaw(wire); },
+                             [&] { client.ShutdownWrite(); });
   std::map<uint64_t, std::string> responses;
   uint8_t verb = 0;
   uint64_t id = 0;
@@ -435,7 +436,7 @@ TEST_F(EventServerTest, DrainUnderLoadFlushesAdmittedRequests) {
   }
   ndjson.SendLine(R"({"op":"summarize","entity":"Berlin","k":3})");
 
-  std::thread drainer([&] { EXPECT_TRUE(server_->Drain(30.0)); });
+  test::JoiningThread drainer([&] { EXPECT_TRUE(server_->Drain(30.0)); });
 
   // Every admitted request's response must still arrive, then EOF.
   std::map<uint64_t, std::string> responses;
@@ -536,9 +537,7 @@ TEST_F(EventServerTest, SlowLorisReapLeavesHealthyPeersUnaffected) {
   // per round trip, so it is never reaped).
   TestClient healthy(server_->port());
   std::atomic<bool> loris_gone{false};
-  std::thread watcher([&] {
-    loris_gone.store(loris.AtEof());
-  });
+  test::JoiningThread watcher([&] { loris_gone.store(loris.AtEof()); });
   for (int i = 0; i < 20; ++i) {
     healthy.SendLine(R"({"op":"ping"})");
     EXPECT_EQ(Parse(healthy.ReadLine()).Find("status")->AsString(), "OK");

@@ -1,8 +1,10 @@
-// remi_server smoke test: an in-process LineServer on an ephemeral
-// loopback port, driven through a real TCP socket — the same code path
-// tools/remi_server.cc serves, minus the flag parsing.
+// The NDJSON line protocol end to end: an in-process EventServer on an
+// ephemeral loopback port, driven line by line through a real TCP socket
+// — the same code path tools/remi_server.cc serves, minus the flag
+// parsing. event_server_test.cc covers the binary framing and the event
+// loop's own mechanics.
 
-#include "service/line_server.h"
+#include "service/event_server.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -18,6 +20,7 @@
 #include <thread>
 
 #include "service/json_codec.h"
+#include "test_support.h"
 #include "util/json.h"
 
 #ifndef REMI_TESTDATA_DIR
@@ -83,7 +86,7 @@ class LineClient {
   bool connected_ = false;
 };
 
-class LineServerTest : public ::testing::Test {
+class NdjsonServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     KbSpec spec;
@@ -91,7 +94,7 @@ class LineServerTest : public ::testing::Test {
     auto service = Service::Open(spec);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     service_ = std::move(*service);
-    server_ = std::make_unique<LineServer>(service_.get());
+    server_ = std::make_unique<EventServer>(service_.get());
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_GT(server_->port(), 0);
   }
@@ -105,10 +108,10 @@ class LineServerTest : public ::testing::Test {
   }
 
   std::unique_ptr<Service> service_;
-  std::unique_ptr<LineServer> server_;
+  std::unique_ptr<EventServer> server_;
 };
 
-TEST_F(LineServerTest, PingMineSummarizeStatsOverOneConnection) {
+TEST_F(NdjsonServerTest, PingMineSummarizeStatsOverOneConnection) {
   LineClient client(server_->port());
   ASSERT_TRUE(client.connected());
 
@@ -148,7 +151,7 @@ TEST_F(LineServerTest, PingMineSummarizeStatsOverOneConnection) {
   EXPECT_GT(stats.Find("facts")->AsNumber(), 0.0);
 }
 
-TEST_F(LineServerTest, ServesConcurrentConnections) {
+TEST_F(NdjsonServerTest, ServesConcurrentConnections) {
   LineClient a(server_->port());
   LineClient b(server_->port());
   ASSERT_TRUE(a.connected());
@@ -161,7 +164,7 @@ TEST_F(LineServerTest, ServesConcurrentConnections) {
   EXPECT_EQ(rb.Find("status")->AsString(), "OK");
 }
 
-TEST_F(LineServerTest, ErrorsAreInBandAndConnectionSurvives) {
+TEST_F(NdjsonServerTest, ErrorsAreInBandAndConnectionSurvives) {
   LineClient client(server_->port());
   ASSERT_TRUE(client.connected());
 
@@ -180,7 +183,7 @@ TEST_F(LineServerTest, ErrorsAreInBandAndConnectionSurvives) {
   EXPECT_EQ(ping.Find("status")->AsString(), "OK");
 }
 
-TEST_F(LineServerTest, RejectsOutOfRangeNumbersInsteadOfCasting) {
+TEST_F(NdjsonServerTest, RejectsOutOfRangeNumbersInsteadOfCasting) {
   // 1e999 parses to +inf; casting it to size_t/TermId would be UB, so
   // the codec must reject it as InvalidArgument (covers ReadSize and the
   // numeric-id path of ReadTargetSpec).
@@ -199,7 +202,7 @@ TEST_F(LineServerTest, RejectsOutOfRangeNumbersInsteadOfCasting) {
   }
 }
 
-TEST_F(LineServerTest, DeadlineTravelsOverTheWire) {
+TEST_F(NdjsonServerTest, DeadlineTravelsOverTheWire) {
   LineClient client(server_->port());
   ASSERT_TRUE(client.connected());
   // deadline_ms of 0.000001 (sub-microsecond) expires before mining.
@@ -209,7 +212,7 @@ TEST_F(LineServerTest, DeadlineTravelsOverTheWire) {
   EXPECT_EQ(response.Find("status")->AsString(), "DeadlineExceeded");
 }
 
-TEST_F(LineServerTest, ReloadVerbSwapsGenerationsInBand) {
+TEST_F(NdjsonServerTest, ReloadVerbSwapsGenerationsInBand) {
   LineClient client(server_->port());
   ASSERT_TRUE(client.connected());
 
@@ -223,8 +226,7 @@ TEST_F(LineServerTest, ReloadVerbSwapsGenerationsInBand) {
 
   // Corrupt candidate: valid magic, garbage body. Fail closed in-band —
   // the connection survives and generation 2 keeps serving.
-  const std::string corrupt_path =
-      ::testing::TempDir() + "/line_server_corrupt.rkf2";
+  const std::string corrupt_path = test::TempPath("ndjson_corrupt.rkf2");
   {
     std::ofstream out(corrupt_path, std::ios::binary | std::ios::trunc);
     out << "RKF2 this is not a snapshot";
@@ -247,7 +249,7 @@ TEST_F(LineServerTest, ReloadVerbSwapsGenerationsInBand) {
   std::remove(corrupt_path.c_str());
 }
 
-TEST_F(LineServerTest, AdmissionOverflowCarriesRetryAfterHint) {
+TEST_F(NdjsonServerTest, AdmissionOverflowCarriesRetryAfterHint) {
   // A service with one never-queued slot, occupied by a long cancellable
   // batch: the next wire request must come back ResourceExhausted with
   // the retry_after_ms back-off hint.
@@ -268,7 +270,8 @@ TEST_F(LineServerTest, AdmissionOverflowCarriesRetryAfterHint) {
     slow.target_sets.push_back(target);
   }
   slow.control.cancel = source.token();
-  std::thread occupant([&] { (void)service->BatchMine(slow); });
+  test::JoiningThread occupant([&] { (void)service->BatchMine(slow); },
+                              [&] { source.RequestCancellation(); });
   while (service->counters().in_flight == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -284,32 +287,7 @@ TEST_F(LineServerTest, AdmissionOverflowCarriesRetryAfterHint) {
   occupant.join();
 }
 
-TEST_F(LineServerTest, RetryHintGrowsWithQueueDepth) {
-  // The hint is derived from admission state, not a constant: at equal
-  // jitter, deeper queues must produce strictly larger hints until the
-  // cap, and the jitter band keeps any hint within [0.75x, 1.25x) base.
-  uint64_t previous = 0;
-  for (size_t queued = 0; queued < 64; ++queued) {
-    const uint64_t hint = Service::ComputeRetryAfterMs(
-        queued, /*max_in_flight=*/4, /*mean_service_ms=*/40.0,
-        /*jitter256=*/128);
-    EXPECT_GT(hint, previous) << "queued=" << queued;
-    previous = hint;
-  }
-  // Cold start (no completions yet) still floors at a sane minimum.
-  const uint64_t cold = Service::ComputeRetryAfterMs(0, 4, 0.0, 128);
-  EXPECT_GE(cold, 25u);
-  // The cap bounds even absurd backlogs.
-  const uint64_t capped = Service::ComputeRetryAfterMs(
-      1u << 20, 1, 5000.0, 255);
-  EXPECT_LE(capped, 13000u);
-  // Jitter spreads retries instead of synchronizing them.
-  const uint64_t low = Service::ComputeRetryAfterMs(8, 4, 40.0, 0);
-  const uint64_t high = Service::ComputeRetryAfterMs(8, 4, 40.0, 255);
-  EXPECT_LT(low, high);
-}
-
-TEST_F(LineServerTest, OversizeCompleteLinePoisonsTheConnection) {
+TEST_F(NdjsonServerTest, OversizeCompleteLinePoisonsTheConnection) {
   // The historical check only bounded the *partial* tail, so an oversize
   // line whose newline arrived in the same recv() slipped through. The
   // limit must apply to complete lines too.
@@ -317,10 +295,10 @@ TEST_F(LineServerTest, OversizeCompleteLinePoisonsTheConnection) {
   spec.path = std::string(REMI_TESTDATA_DIR) + "/smoke.nt";
   auto opened = Service::Open(spec);
   ASSERT_TRUE(opened.ok());
-  LineServerOptions options;
+  EventServerOptions options;
   options.port = 0;
   options.max_line_bytes = 128;
-  LineServer server(opened->get(), options);
+  EventServer server(opened->get(), options);
   ASSERT_TRUE(server.Start().ok());
 
   LineClient client(server.port());
@@ -336,7 +314,7 @@ TEST_F(LineServerTest, OversizeCompleteLinePoisonsTheConnection) {
   server.Stop();
 }
 
-TEST_F(LineServerTest, DrainFlushesBufferedResponsesThenCloses) {
+TEST_F(NdjsonServerTest, DrainFlushesBufferedResponsesThenCloses) {
   LineClient client(server_->port());
   ASSERT_TRUE(client.connected());
   EXPECT_EQ(Request(&client, R"({"op":"ping"})").Find("status")->AsString(),
@@ -358,7 +336,7 @@ TEST_F(LineServerTest, DrainFlushesBufferedResponsesThenCloses) {
   EXPECT_FALSE(late.connected());
 }
 
-TEST_F(LineServerTest, StopUnblocksOpenConnections) {
+TEST_F(NdjsonServerTest, StopUnblocksOpenConnections) {
   auto client = std::make_unique<LineClient>(server_->port());
   ASSERT_TRUE(client->connected());
   JsonValue ping = Request(client.get(), R"({"op":"ping"})");

@@ -31,6 +31,7 @@
 
 #include "kb/knowledge_base.h"
 #include "rdf/rkf2.h"
+#include "test_support.h"
 #include "util/fnv.h"
 #include "util/random.h"
 
@@ -221,7 +222,7 @@ class ReloadFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
     image_ = FaultKb().SerializeSnapshot();
-    dir_ = ::testing::TempDir();
+    dir_ = test::ProcessTempDir();
     good_path_ = dir_ + "/reload_fault_good.rkf2";
     WriteFile(good_path_, image_);
 
@@ -290,14 +291,16 @@ TEST_F(ReloadFaultTest, CorruptionClassesFailClosedUnderLiveTraffic) {
   std::atomic<bool> stop{false};
   std::atomic<size_t> divergent{0};
   std::atomic<size_t> mines{0};
-  std::vector<std::thread> miners;
+  std::vector<test::JoiningThread> miners;
   for (int t = 0; t < 3; ++t) {
-    miners.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        MineAllAndCompare(&divergent);
-        mines.fetch_add(kTargetSets().size(), std::memory_order_relaxed);
-      }
-    });
+    miners.emplace_back(
+        [&] {
+          while (!stop.load(std::memory_order_relaxed)) {
+            MineAllAndCompare(&divergent);
+            mines.fetch_add(kTargetSets().size(), std::memory_order_relaxed);
+          }
+        },
+        [&] { stop.store(true, std::memory_order_relaxed); });
   }
 
   const std::string mutant_path = dir_ + "/reload_fault_mutant.rkf2";
@@ -335,7 +338,7 @@ TEST_F(ReloadFaultTest, CorruptionClassesFailClosedUnderLiveTraffic) {
   }
 
   stop.store(true, std::memory_order_relaxed);
-  for (std::thread& miner : miners) miner.join();
+  for (test::JoiningThread& miner : miners) miner.join();
 
   EXPECT_EQ(divergent.load(), 0u);
   EXPECT_GT(mines.load(), 0u);
@@ -402,7 +405,7 @@ TEST_F(ReloadFaultTest, RequestPinnedAcrossSwapCompletesByteIdentical) {
   // ever observes it — so the poll must also exit on worker completion
   // (the byte-identity and epoch assertions below hold either way).
   std::atomic<bool> worker_done{false};
-  std::thread worker([&] {
+  test::JoiningThread worker([&] {
     result = service_->BatchMine(batch);
     worker_done.store(true);
   });
@@ -480,7 +483,7 @@ TEST_F(ReloadFaultTest, ReloadToDifferentKbServesNewContent) {
 
 TEST(ServiceReloadHammerTest, ConcurrentMinesAndReloadsNeverDropARequest) {
   const std::string image = FaultKb().SerializeSnapshot();
-  const std::string dir = ::testing::TempDir();
+  const std::string& dir = test::ProcessTempDir();
   const std::string good_path = dir + "/reload_hammer_good.rkf2";
   WriteFile(good_path, image);
 
@@ -515,7 +518,7 @@ TEST(ServiceReloadHammerTest, ConcurrentMinesAndReloadsNeverDropARequest) {
   std::atomic<size_t> dropped{0};
   std::atomic<size_t> divergent{0};
   std::atomic<size_t> nonmonotonic{0};
-  std::vector<std::thread> threads;
+  std::vector<test::JoiningThread> threads;
   for (int t = 0; t < kMiners; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kMinesPerThread; ++i) {
@@ -573,7 +576,7 @@ TEST(ServiceReloadHammerTest, ConcurrentMinesAndReloadsNeverDropARequest) {
       }
     });
   }
-  for (std::thread& thread : threads) thread.join();
+  for (test::JoiningThread& thread : threads) thread.join();
 
   EXPECT_EQ(dropped.load(), 0u);
   EXPECT_EQ(divergent.load(), 0u);

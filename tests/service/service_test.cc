@@ -16,6 +16,7 @@
 #include "kbgen/curated.h"
 #include "kbgen/kb_builder.h"
 #include "rdf/ntriples.h"
+#include "test_support.h"
 #include "util/timer.h"
 
 #ifndef REMI_TESTDATA_DIR
@@ -97,8 +98,7 @@ TEST(ServiceOpenTest, SniffsMagicOverMisleadingExtension) {
   ASSERT_TRUE(in.good());
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-  const std::string path =
-      ::testing::TempDir() + "/misnamed_snapshot_test.nt";
+  const std::string path = test::TempPath("misnamed_snapshot_test.nt");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -463,7 +463,7 @@ TEST(ServiceCancelTest, CancellationStopsARunningRequest) {
   }
   request.control.cancel = source.token();
 
-  std::thread canceller([&] {
+  test::JoiningThread canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     source.RequestCancellation();
   });
@@ -536,7 +536,8 @@ TEST(ServiceAdmissionTest, OverflowReturnsResourceExhausted) {
     slow.target_sets.push_back(spec);
   }
   slow.control.cancel = source.token();
-  std::thread occupant([&] { (void)service->BatchMine(slow); });
+  test::JoiningThread occupant([&] { (void)service->BatchMine(slow); },
+                              [&] { source.RequestCancellation(); });
 
   // Wait for the occupant to hold the slot.
   while (service->counters().in_flight == 0) {
@@ -560,6 +561,31 @@ TEST(ServiceAdmissionTest, OverflowReturnsResourceExhausted) {
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
 }
 
+TEST(ServiceAdmissionTest, RetryHintGrowsWithQueueDepth) {
+  // The hint is derived from admission state, not a constant: at equal
+  // jitter, deeper queues must produce strictly larger hints until the
+  // cap, and the jitter band keeps any hint within [0.75x, 1.25x) base.
+  uint64_t previous = 0;
+  for (size_t queued = 0; queued < 64; ++queued) {
+    const uint64_t hint = Service::ComputeRetryAfterMs(
+        queued, /*max_in_flight=*/4, /*mean_service_ms=*/40.0,
+        /*jitter256=*/128);
+    EXPECT_GT(hint, previous) << "queued=" << queued;
+    previous = hint;
+  }
+  // Cold start (no completions yet) still floors at a sane minimum.
+  const uint64_t cold = Service::ComputeRetryAfterMs(0, 4, 0.0, 128);
+  EXPECT_GE(cold, 25u);
+  // The cap bounds even absurd backlogs.
+  const uint64_t capped = Service::ComputeRetryAfterMs(
+      1u << 20, 1, 5000.0, 255);
+  EXPECT_LE(capped, 13000u);
+  // Jitter spreads retries instead of synchronizing them.
+  const uint64_t low = Service::ComputeRetryAfterMs(8, 4, 40.0, 0);
+  const uint64_t high = Service::ComputeRetryAfterMs(8, 4, 40.0, 255);
+  EXPECT_LT(low, high);
+}
+
 TEST(ServiceAdmissionTest, QueuedRequestHonorsDeadline) {
   ServiceOptions options;
   options.mining = ExhaustiveMining();
@@ -577,7 +603,8 @@ TEST(ServiceAdmissionTest, QueuedRequestHonorsDeadline) {
     slow.target_sets.push_back(spec);
   }
   slow.control.cancel = source.token();
-  std::thread occupant([&] { (void)service->BatchMine(slow); });
+  test::JoiningThread occupant([&] { (void)service->BatchMine(slow); },
+                              [&] { source.RequestCancellation(); });
   while (service->counters().in_flight == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -649,7 +676,8 @@ TEST(ServiceSheddingTest, ExpiredWhileQueuedCountsAsShed) {
     slow.target_sets.push_back(spec);
   }
   slow.control.cancel = source.token();
-  std::thread occupant([&] { (void)service->BatchMine(slow); });
+  test::JoiningThread occupant([&] { (void)service->BatchMine(slow); },
+                              [&] { source.RequestCancellation(); });
   while (service->counters().in_flight == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -691,7 +719,8 @@ TEST(ServiceBrownoutTest, SustainedQueueWaitTightensAdmission) {
     slow.target_sets.push_back(spec);
   }
   slow.control.cancel = source.token();
-  std::thread occupant([&] { (void)service->BatchMine(slow); });
+  test::JoiningThread occupant([&] { (void)service->BatchMine(slow); },
+                              [&] { source.RequestCancellation(); });
   while (service->counters().in_flight == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -712,7 +741,7 @@ TEST(ServiceBrownoutTest, SustainedQueueWaitTightensAdmission) {
   // Brownout tightened the queue to one slot: park one waiter in it,
   // then the next arrival is rejected even though the nominal queue
   // depth (4) has room.
-  std::thread parked([&] {
+  test::JoiningThread parked([&] {
     MineRequest waiting;
     waiting.targets.names = {entity};
     waiting.control.deadline_seconds = 5.0;

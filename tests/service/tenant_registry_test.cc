@@ -31,6 +31,7 @@
 #include "service/json_codec.h"
 #include "service/service.h"
 #include "service/tenant_registry.h"
+#include "test_support.h"
 #include "util/json.h"
 
 #ifndef REMI_TESTDATA_DIR
@@ -206,7 +207,7 @@ TEST(TenantRegistryTest, CatalogEntriesOpenLazilyAndFailAtomically) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   Service* service = opened->get();
 
-  const std::string dir = ::testing::TempDir();
+  const std::string& dir = test::ProcessTempDir();
   const std::string catalog_path = dir + "/tenant_catalog.json";
   WriteFile(catalog_path,
             std::string("{\"kbs\":[{\"name\":\"lazy1\",\"path\":\"") +
@@ -286,7 +287,7 @@ TEST(TenantRegistryTest, ReloadIsPerTenant) {
   ASSERT_TRUE(baseline->found);
 
   // Swap the DEFAULT tenant to a different KB.
-  const std::string path = ::testing::TempDir() + "/tenant_reload_a2.rkf2";
+  const std::string path = test::TempPath("tenant_reload_a2.rkf2");
   WriteFile(path, BuildTaggedKb("a2").SerializeSnapshot());
   ReloadKbRequest reload;
   reload.spec.path = path;
@@ -310,7 +311,7 @@ TEST(TenantRegistryTest, ReloadIsPerTenant) {
       service->Mine(MineFor("", "http://ex/a/Entity3")).status().IsNotFound());
 
   // And a named reload swaps only that tenant.
-  const std::string b2 = ::testing::TempDir() + "/tenant_reload_b2.rkf2";
+  const std::string b2 = test::TempPath("tenant_reload_b2.rkf2");
   WriteFile(b2, BuildTaggedKb("b2").SerializeSnapshot());
   ReloadKbRequest named;
   named.kb = "b";
@@ -339,7 +340,8 @@ TEST(TenantRegistryTest, QuotaThrottlesHotTenantWhileOthersServe) {
   // Occupy the hot tenant's single slot with a long cancellable batch.
   CancellationSource source;
   const BatchMineRequest slow = SlowBatch("hot", source.token());
-  std::thread occupant([&] { (void)service->BatchMine(slow); });
+  test::JoiningThread occupant([&] { (void)service->BatchMine(slow); },
+                              [&] { source.RequestCancellation(); });
   while (service->CountersFor("hot")->in_flight == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -625,7 +627,7 @@ TEST_F(TenantRegistryWireTest, UseKbHandshakeSetsTheConnectionDefault) {
 }
 
 TEST_F(TenantRegistryWireTest, AdminVerbsAttachListDetach) {
-  const std::string path = ::testing::TempDir() + "/tenant_wire_w.rkf2";
+  const std::string path = test::TempPath("tenant_wire_w.rkf2");
   WriteFile(path, BuildTaggedKb("w").SerializeSnapshot());
 
   WireClient client(server_->port());
@@ -684,12 +686,14 @@ TEST(ReloadFaultTenantTest, DetachUnderPinDrainsWithoutTeardown) {
   CancellationSource source;
   const BatchMineRequest slow = SlowBatch("pin", source.token());
   std::atomic<bool> occupant_failed{false};
-  std::thread occupant([&] {
-    auto response = service->BatchMine(slow);
-    // The request was admitted before the detach: it must complete
-    // in-band (Cancelled when we fire the token), never fail out.
-    if (!response.ok()) occupant_failed.store(true);
-  });
+  test::JoiningThread occupant(
+      [&] {
+        auto response = service->BatchMine(slow);
+        // The request was admitted before the detach: it must complete
+        // in-band (Cancelled when we fire the token), never fail out.
+        if (!response.ok()) occupant_failed.store(true);
+      },
+      [&] { source.RequestCancellation(); });
   while (service->CountersFor("pin").ok() &&
          service->CountersFor("pin")->in_flight == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -715,6 +719,94 @@ TEST(ReloadFaultTenantTest, DetachUnderPinDrainsWithoutTeardown) {
   EXPECT_EQ(service->counters().tenants_active, 1u);
 }
 
+/// True iff no request-outcome counter decreased from `before` to `after`.
+bool CountsNeverDecrease(const ServiceCounters& before,
+                         const ServiceCounters& after) {
+  return after.admitted >= before.admitted &&
+         after.completed_ok >= before.completed_ok &&
+         after.deadline_exceeded >= before.deadline_exceeded &&
+         after.cancelled >= before.cancelled &&
+         after.rejected >= before.rejected && after.failed >= before.failed &&
+         after.shed_expired_in_queue >= before.shed_expired_in_queue &&
+         after.reloads_ok >= before.reloads_ok &&
+         after.reloads_rejected >= before.reloads_rejected &&
+         after.nodes_visited_total >= before.nodes_visited_total &&
+         after.mine_micros_total >= before.mine_micros_total;
+}
+
+TEST(TenantRegistryTest, DetachedTenantKeepsCountingUntilItsLastPinDrops) {
+  // Service::counters() is the sum over every live tenant plus the
+  // counts of destroyed ones. A request pinned to a detached tenant still
+  // records into that tenant; when it completes and drops the last pin,
+  // the tenant's counts fold into the remainder. Across all of it the
+  // totals never decrease, and the admission identity holds at the end.
+  ServiceOptions options;
+  options.mining = ExhaustiveMining();
+  options.max_in_flight = 4;
+  auto service = Service::Create(BuildTaggedKb("base"), options);
+  ASSERT_TRUE(
+      service->AttachKb("pin", BuildBitLatticeKb(kBitKbBits)).ok());
+  ASSERT_TRUE(service->Mine(MineFor("", "http://ex/base/Entity3")).ok());
+  MineRequest shed = MineFor("pin", BitKbTopEntity());
+  shed.control.deadline_seconds = 1e-9;  // expired: counted, never mined
+  ASSERT_TRUE(service->Mine(shed).ok());
+  const ServiceCounters start = service->counters();
+
+  // A reader samples the totals for the whole sequence.
+  std::atomic<bool> stop_sampling{false};
+  std::atomic<size_t> decreases{0};
+  std::atomic<size_t> samples{0};
+  test::JoiningThread sampler(
+      [&] {
+        ServiceCounters previous = service->counters();
+        while (!stop_sampling.load()) {
+          const ServiceCounters now = service->counters();
+          if (!CountsNeverDecrease(previous, now)) decreases.fetch_add(1);
+          samples.fetch_add(1);
+          previous = now;
+        }
+      },
+      [&] { stop_sampling.store(true); });
+
+  CancellationSource source;
+  const BatchMineRequest slow = SlowBatch("pin", source.token());
+  test::JoiningThread occupant([&] { (void)service->BatchMine(slow); },
+                               [&] { source.RequestCancellation(); });
+  while (service->counters().in_flight == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const ServiceCounters pinned = service->counters();
+  EXPECT_TRUE(CountsNeverDecrease(start, pinned));
+  EXPECT_EQ(pinned.admitted, start.admitted + 1);
+
+  ASSERT_TRUE(service->DetachKb("pin").ok());
+  const ServiceCounters detached = service->counters();
+  EXPECT_TRUE(CountsNeverDecrease(pinned, detached));
+  // Detach only unmaps the name: the pinned tenant's history stays in
+  // the totals.
+  EXPECT_EQ(detached.admitted, pinned.admitted);
+  EXPECT_EQ(detached.shed_expired_in_queue, start.shed_expired_in_queue);
+
+  source.RequestCancellation();
+  occupant.join();  // drops the last pin: the tenant is destroyed here
+  while (samples.load() < 2) std::this_thread::yield();
+  stop_sampling.store(true);
+  sampler.join();
+
+  const ServiceCounters end = service->counters();
+  EXPECT_EQ(decreases.load(), 0u);
+  EXPECT_TRUE(CountsNeverDecrease(detached, end));
+  EXPECT_EQ(end.tenants_active, 1u);
+  EXPECT_EQ(end.active_generations, 1u);
+  EXPECT_EQ(end.in_flight, 0u);
+  // The pinned request's outcome was recorded after its tenant left the
+  // registry, and survived the tenant itself.
+  EXPECT_EQ(end.completed_ok + end.cancelled,
+            start.completed_ok + start.cancelled + 1);
+  EXPECT_EQ(end.admitted, end.completed_ok + end.deadline_exceeded +
+                              end.cancelled + end.failed);
+}
+
 TEST(ReloadFaultTenantTest, CrossTenantHammerKeepsTenantsIsolated) {
   auto service = Service::Create(BuildTaggedKb("d"), [] {
     ServiceOptions options;
@@ -724,8 +816,7 @@ TEST(ReloadFaultTenantTest, CrossTenantHammerKeepsTenantsIsolated) {
   for (const char* name : {"t0", "t1", "t2"}) {
     ASSERT_TRUE(service->AttachKb(name, BuildTaggedKb(name)).ok());
   }
-  const std::string reload_path =
-      ::testing::TempDir() + "/tenant_hammer_t0.rkf2";
+  const std::string reload_path = test::TempPath("tenant_hammer_t0.rkf2");
   WriteFile(reload_path, BuildTaggedKb("t0").SerializeSnapshot());
 
   // Per-tenant baselines (the byte-identity reference).
@@ -744,7 +835,7 @@ TEST(ReloadFaultTenantTest, CrossTenantHammerKeepsTenantsIsolated) {
   std::atomic<size_t> dropped{0};
   std::atomic<size_t> divergent{0};
   std::atomic<bool> t2_detached{false};
-  std::vector<std::thread> threads;
+  std::vector<test::JoiningThread> threads;
 
   // Two miners per tenant, each comparing against its tenant's baseline.
   for (const std::string name : {"d", "t0", "t1", "t2"}) {
@@ -795,7 +886,7 @@ TEST(ReloadFaultTenantTest, CrossTenantHammerKeepsTenantsIsolated) {
       dropped.fetch_add(1, std::memory_order_relaxed);
     }
   });
-  for (std::thread& thread : threads) thread.join();
+  for (test::JoiningThread& thread : threads) thread.join();
 
   EXPECT_EQ(dropped.load(), 0u);
   EXPECT_EQ(divergent.load(), 0u);

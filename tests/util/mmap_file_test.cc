@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "test_support.h"
+
 namespace remi {
 namespace {
 
 std::string WriteTemp(const std::string& name, const std::string& bytes) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = test::TempPath(name);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return path;

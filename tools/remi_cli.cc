@@ -429,8 +429,7 @@ Result<std::string> LineRoundTrip(const std::string& host, int port,
 /// One binary-frame round trip: connect, send `payload` under `verb`,
 /// decode response frames until ours (matched by request id) arrives, and
 /// return its payload — the same JSON document the NDJSON protocol would
-/// produce. Requires an epoll-mode server (--mode threads speaks only
-/// NDJSON and will reject the frame).
+/// produce.
 Result<std::string> FrameRoundTrip(const std::string& host, int port,
                                    remi::FrameVerb verb,
                                    const std::string& payload) {
