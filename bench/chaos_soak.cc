@@ -23,8 +23,6 @@
 //   ./bench_chaos_soak [--seed 1] [--duration-s 30] [--clients 4]
 //                      [--reload-interval-ms 200]
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -40,6 +38,7 @@
 #include "kb/knowledge_base.h"
 #include "service/event_server.h"
 #include "service/service.h"
+#include "service/socket_util.h"
 #include "util/io_hooks.h"
 
 namespace remi {
@@ -93,23 +92,18 @@ class RawClient {
   enum class ReadResult { kLine, kEof, kTimeout };
 
   explicit RawClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
+    auto fd = ConnectTo("127.0.0.1", port);
+    if (!fd.ok()) return;
+    fd_ = *fd;
     timeval tv{};
     tv.tv_sec = 20;  // liveness bound: trips only if the server wedges
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
   }
   ~RawClient() {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  bool connected() const { return connected_; }
+  bool connected() const { return fd_ >= 0; }
 
   bool SendLine(const std::string& request) {
     const std::string wire = request + "\n";
@@ -141,7 +135,6 @@ class RawClient {
 
  private:
   int fd_ = -1;
-  bool connected_ = false;
 };
 
 // --- the soak ---------------------------------------------------------------
@@ -195,6 +188,21 @@ int Run(uint64_t seed, int duration_s, int clients, int reload_interval_ms) {
   if (default_path.empty() || alpha_path.empty() || beta_path.empty()) {
     return Fail("could not write fixture snapshots");
   }
+
+  io::FaultProfile profile;
+  profile.seed = seed;
+  profile.eintr_probability = 0.05;
+  profile.eagain_probability = 0.05;
+  profile.short_write_probability = 0.2;
+  profile.short_read_probability = 0.2;
+  profile.disconnect_probability = 0.01;
+  profile.accept_resource_probability = 0.02;
+  profile.mmap_fail_probability = 0.2;
+  // Declared before the service and the server, so it is destroyed after
+  // both have stopped: the loop thread may still be inside one of its
+  // calls (a blocked EpollWait) when the storm's ScopedHooks restores the
+  // pass-through table.
+  io::FaultInjector injector(profile);
 
   KbSpec spec;
   spec.path = default_path;
@@ -253,16 +261,6 @@ int Run(uint64_t seed, int duration_s, int clients, int reload_interval_ms) {
 
   SoakTally tally;
   {
-    io::FaultProfile profile;
-    profile.seed = seed;
-    profile.eintr_probability = 0.05;
-    profile.eagain_probability = 0.05;
-    profile.short_write_probability = 0.2;
-    profile.short_read_probability = 0.2;
-    profile.disconnect_probability = 0.01;
-    profile.accept_resource_probability = 0.02;
-    profile.mmap_fail_probability = 0.2;
-    io::FaultInjector injector(profile);
     io::ScopedHooks scoped(&injector);
 
     const auto deadline = Clock::now() + std::chrono::seconds(duration_s);

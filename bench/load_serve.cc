@@ -40,8 +40,6 @@
 // 1-core host the sweep measures protocol + event-loop overhead, not
 // parallel mining throughput.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
@@ -85,19 +83,10 @@ double NowSeconds() {
       .count();
 }
 
+/// A loopback connect through the shared client helper; -1 on failure.
 int ConnectLoopback(int port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    close(fd);
-    return -1;
-  }
-  return fd;
+  auto fd = remi::ConnectTo("127.0.0.1", port);
+  return fd.ok() ? *fd : -1;
 }
 
 bool SendAllBlocking(int fd, std::string_view data) {

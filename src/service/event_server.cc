@@ -378,6 +378,11 @@ void EventServer::AcceptReady() {
           return;
       }
     }
+    // Responses are small writes; without TCP_NODELAY a response that
+    // follows an unacknowledged one waits for the peer's delayed ACK. A
+    // failure is not a reason to shed: the option only changes latency,
+    // so the connection is served either way.
+    SetNoDelay(fd);
     try {
       auto conn = std::make_unique<Connection>();
       conn->id = next_conn_id_++;

@@ -1,15 +1,17 @@
 // Small socket-layer utilities shared by the serving transport
-// (EventServer) and its clients (remi_cli, the load generator): a
-// consume-from-the-front byte buffer with amortized O(1) compaction, an
-// accept(2) errno classifier, and an O_NONBLOCK helper. Kept
-// transport-agnostic: nothing here knows about requests, framing, or the
-// Service.
+// (EventServer) and its clients (remi_cli, the test clients, the bench
+// harnesses): a consume-from-the-front byte buffer with amortized O(1)
+// compaction, an accept(2) errno classifier, O_NONBLOCK and TCP_NODELAY
+// helpers, and the one blocking client connect. Kept transport-agnostic:
+// nothing here knows about requests, framing, or the Service.
 
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <string_view>
+
+#include "util/status.h"
 
 namespace remi {
 
@@ -90,5 +92,17 @@ AcceptErrorAction ClassifyAcceptError(int err);
 
 /// Sets O_NONBLOCK on `fd`; false on fcntl failure.
 bool SetNonBlocking(int fd);
+
+/// Sets TCP_NODELAY on `fd`; false on setsockopt failure. Every request
+/// and response is one small write, so with Nagle's algorithm on, a write
+/// issued while an earlier segment is unacknowledged waits for the peer's
+/// delayed ACK before it leaves the host.
+bool SetNoDelay(int fd);
+
+/// The one blocking client connect: an IPv4 TCP socket connected to
+/// `host`:`port`, with TCP_NODELAY set. The caller owns (and closes) the
+/// fd. Uses raw syscalls, never io::Hooks(), so a client stays clean
+/// while a server in the same process runs under a fault injector.
+Result<int> ConnectTo(const std::string& host, int port);
 
 }  // namespace remi

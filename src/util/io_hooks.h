@@ -67,11 +67,23 @@ IoHooks& Hooks();
 
 /// Installs `hooks` (nullptr restores the pass-through) and returns the
 /// previously installed table (nullptr = pass-through was active). The
-/// caller keeps ownership; the hooks must outlive their installation.
+/// caller keeps ownership.
+///
+/// Lifetime contract: installed hooks must outlive every server (and
+/// every other thread) that may call through them — not merely their
+/// installation. Restoring the table does not wait for calls already in
+/// flight: an EventServer loop thread blocked in `EpollWait` stays inside
+/// the old hooks until its timeout or next event. Keep the hooks in a
+/// test fixture or declare them before the server, and stop the server
+/// before they are destroyed. The call path stays one atomic load plus
+/// one indirect call; nothing here counts in-flight calls.
 IoHooks* SetHooks(IoHooks* hooks);
 
 /// RAII installation for tests: installs on construction, restores the
-/// previous table on destruction.
+/// previous table on destruction. Restoring is not a barrier (see
+/// SetHooks): around a live server, the hooks object must still outlive
+/// the server, so never let a stack-scoped hooks object die while a
+/// server that saw it is running.
 class ScopedHooks {
  public:
   explicit ScopedHooks(IoHooks* hooks) : previous_(SetHooks(hooks)) {}

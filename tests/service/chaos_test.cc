@@ -16,8 +16,6 @@
 // CI runs this file under TSan (filter Chaos*) and the longer seeded
 // variant as bench/chaos_soak.cc under ASan with leak detection.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -34,6 +32,7 @@
 #include "kb/knowledge_base.h"
 #include "service/event_server.h"
 #include "service/service.h"
+#include "service/socket_util.h"
 #include "test_support.h"
 #include "util/io_hooks.h"
 
@@ -74,25 +73,20 @@ class RawClient {
   enum class ReadResult { kLine, kEof, kTimeout };
 
   explicit RawClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
+    auto fd = ConnectTo("127.0.0.1", port);
+    if (!fd.ok()) return;
+    fd_ = *fd;
     // Bounded reads: a stuck server must surface as kTimeout, not as a
     // hung test binary.
     timeval tv{};
     tv.tv_sec = 10;
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
   }
   ~RawClient() {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  bool connected() const { return connected_; }
+  bool connected() const { return fd_ >= 0; }
 
   bool SendLine(const std::string& request) {
     const std::string wire = request + "\n";
@@ -124,7 +118,6 @@ class RawClient {
 
  private:
   int fd_ = -1;
-  bool connected_ = false;
 };
 
 class ChaosServiceTest : public ::testing::Test {

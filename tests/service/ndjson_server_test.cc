@@ -6,8 +6,6 @@
 
 #include "service/event_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,6 +18,7 @@
 #include <thread>
 
 #include "service/json_codec.h"
+#include "service/socket_util.h"
 #include "test_support.h"
 #include "util/json.h"
 
@@ -34,21 +33,17 @@ namespace {
 class LineClient {
  public:
   explicit LineClient(int port, bool expect_connect = true) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                         sizeof(addr)) == 0;
-    if (expect_connect) EXPECT_TRUE(connected_);
+    auto fd = ConnectTo("127.0.0.1", port);
+    if (expect_connect) {
+      EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    }
+    if (fd.ok()) fd_ = *fd;
   }
   ~LineClient() {
     if (fd_ >= 0) close(fd_);
   }
 
-  bool connected() const { return connected_; }
+  bool connected() const { return fd_ >= 0; }
 
   /// Sends one request line without waiting for the response.
   void Send(const std::string& request) {
@@ -83,7 +78,6 @@ class LineClient {
 
  private:
   int fd_ = -1;
-  bool connected_ = false;
 };
 
 class NdjsonServerTest : public ::testing::Test {
@@ -290,7 +284,8 @@ TEST_F(NdjsonServerTest, AdmissionOverflowCarriesRetryAfterHint) {
 TEST_F(NdjsonServerTest, OversizeCompleteLinePoisonsTheConnection) {
   // The historical check only bounded the *partial* tail, so an oversize
   // line whose newline arrived in the same recv() slipped through. The
-  // limit must apply to complete lines too.
+  // limit must apply to complete lines too: the line below arrives
+  // complete in one burst, leaving an empty tail behind it.
   KbSpec spec;
   spec.path = std::string(REMI_TESTDATA_DIR) + "/smoke.nt";
   auto opened = Service::Open(spec);

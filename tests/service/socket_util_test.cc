@@ -1,5 +1,11 @@
 #include "service/socket_util.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <string>
 
@@ -108,6 +114,61 @@ TEST(ClassifyAcceptErrorTest, UnknownErrnosNeverKillTheLoop) {
   EXPECT_EQ(ClassifyAcceptError(EIO), AcceptErrorAction::kRetryAfterBackoff);
   EXPECT_EQ(ClassifyAcceptError(12345),
             AcceptErrorAction::kRetryAfterBackoff);
+}
+
+/// TCP_NODELAY as getsockopt reports it (-1 when the call fails).
+int NoDelayOf(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  if (getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) return -1;
+  return value;
+}
+
+TEST(SetNoDelayTest, SetsTheOption) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(NoDelayOf(fd), 0);
+  EXPECT_TRUE(SetNoDelay(fd));
+  EXPECT_EQ(NoDelayOf(fd), 1);
+  close(fd);
+}
+
+TEST(SetNoDelayTest, FailsOnANonSocket) {
+  int pipe_fds[2];
+  ASSERT_EQ(pipe(pipe_fds), 0);
+  EXPECT_FALSE(SetNoDelay(pipe_fds[0]));
+  close(pipe_fds[0]);
+  close(pipe_fds[1]);
+}
+
+TEST(ConnectToTest, ConnectedSocketRunsWithNoDelay) {
+  // A loopback listener on an ephemeral port; the kernel completes the
+  // handshake from the backlog, so nothing needs to accept.
+  const int listener = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                 sizeof(addr)),
+            0);
+  ASSERT_EQ(listen(listener, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  auto fd = ConnectTo("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  EXPECT_EQ(NoDelayOf(*fd), 1);
+  close(*fd);
+  close(listener);
+}
+
+TEST(ConnectToTest, BadHostIsInvalidArgument) {
+  auto fd = ConnectTo("not-an-address", 7411);
+  ASSERT_FALSE(fd.ok());
+  EXPECT_TRUE(fd.status().IsInvalidArgument()) << fd.status().ToString();
 }
 
 }  // namespace

@@ -10,8 +10,6 @@
 // reload-fault-injection job (filter ReloadFault*): detach must drain —
 // a pinned epoch is never torn down while a request holds it.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -30,6 +28,7 @@
 #include "service/frame_codec.h"
 #include "service/json_codec.h"
 #include "service/service.h"
+#include "service/socket_util.h"
 #include "service/tenant_registry.h"
 #include "test_support.h"
 #include "util/json.h"
@@ -425,15 +424,9 @@ TEST(TenantRegistryTest, CountersReconcileAcrossTenantsAtQuiescence) {
 class WireClient {
  public:
   explicit WireClient(int port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-              0);
+    auto fd = ConnectTo("127.0.0.1", port);
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    if (fd.ok()) fd_ = *fd;
   }
   ~WireClient() {
     if (fd_ >= 0) close(fd_);

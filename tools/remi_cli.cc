@@ -16,8 +16,8 @@
 // `reload`, `counters`, `attach`, `detach`, and `list` are admin clients,
 // not local operations: they connect to a running remi_server
 // (--host/--port). `counters` speaks the binary frame protocol (so it
-// doubles as a smoke test for it against an epoll-mode server); the
-// others speak NDJSON by default and the binary framing with --binary.
+// doubles as a smoke test of the server's framing); the others speak
+// NDJSON by default and the binary framing with --binary.
 // The reload/attach paths are resolved by the *server* process. Exit 0
 // when the server accepted the operation; nonzero otherwise (a rejected
 // reload keeps the prior generation serving — fail closed).
@@ -37,8 +37,6 @@
 // shared pool. --timeout sets the per-request deadline: an expired
 // request reports "timed out" instead of running unbounded.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -56,6 +54,7 @@
 #include "rdf/rkf.h"
 #include "service/frame_codec.h"
 #include "service/service.h"
+#include "service/socket_util.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/string_util.h"
@@ -63,6 +62,7 @@
 
 namespace {
 
+using remi::ConnectTo;
 using remi::Result;
 using remi::Status;
 
@@ -360,29 +360,6 @@ int CmdSummarize(const std::string& path, const remi::Flags& flags) {
   return 0;
 }
 
-/// Blocking TCP connect; the caller owns (and closes) the fd.
-Result<int> ConnectTo(const std::string& host, int port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad host address '" + host + "'");
-  }
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-              sizeof(addr)) != 0) {
-    const Status status = Status::IoError(
-        "connect " + host + ":" + std::to_string(port) + ": " +
-        std::strerror(errno));
-    close(fd);
-    return status;
-  }
-  return fd;
-}
-
 /// Full-write loop; MSG_NOSIGNAL so a server that died mid-send surfaces
 /// as EPIPE, not a fatal SIGPIPE.
 Status SendAllTo(int fd, const std::string& data) {
@@ -627,7 +604,7 @@ int main(int argc, char** argv) {
                    "skipping them");
   flags.DefineBool("binary", false,
                    "admin commands: use the binary frame protocol instead "
-                   "of NDJSON (requires an epoll-mode server)");
+                   "of NDJSON");
   flags.DefineString("kb", "",
                      "reload/counters: the named KB to target (default: "
                      "the server's default tenant)");
