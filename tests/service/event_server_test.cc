@@ -199,6 +199,19 @@ class EventServerTest : public ::testing::Test {
   std::unique_ptr<EventServer> server_;
 };
 
+TEST_F(EventServerTest, NdjsonDebugModeServesTheLineProtocol) {
+  StartServer();
+  TestClient client(server_->port());
+
+  client.SendLine(R"({"op":"ping"})");
+  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "OK");
+
+  client.SendLine(R"({"op":"mine","targets":["Berlin"],"verbalize":true})");
+  JsonValue mine = Parse(client.ReadLine());
+  EXPECT_EQ(mine.Find("status")->AsString(), "OK");
+  EXPECT_TRUE(mine.Find("found")->AsBool());
+}
+
 TEST_F(EventServerTest, AcceptedSocketsRunWithNoDelay) {
   StartServer();
   hooks_.emplace(&record_accepts_);
@@ -394,6 +407,24 @@ TEST_F(EventServerTest, OversizeFrameIsRejectedAndPoisonsTheStream) {
   ASSERT_EQ(responses.count(2), 1u);
   EXPECT_EQ(Parse(responses[2]).Find("status")->AsString(),
             "InvalidArgument");
+  EXPECT_TRUE(client.AtEof());
+}
+
+TEST_F(EventServerTest, OversizeNdjsonLinePoisonsTheConnection) {
+  EventServerOptions options;
+  options.max_line_bytes = 256;
+  StartServer(options);
+  TestClient client(server_->port());
+
+  // The oversize line arrives complete (newline included) in one burst:
+  // the per-line check must reject it even though the leftover tail is
+  // empty afterwards.
+  std::string oversize = R"({"op":"ping","pad":")";
+  oversize += std::string(512, 'x');
+  oversize += "\"}";
+  client.SendLine(oversize);
+  JsonValue error = Parse(client.ReadLine());
+  EXPECT_EQ(error.Find("status")->AsString(), "InvalidArgument");
   EXPECT_TRUE(client.AtEof());
 }
 
